@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test bench microbench ci lint fuzz-smoke e2e soak-smoke
+.PHONY: build test bench microbench ci lint fuzz-smoke e2e soak-smoke perfbench-check
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,12 @@ ci: lint
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
 	$(GO) test -race -short ./...
+
+# perfbench-check vets and unit-tests the repository benchmark, a module of
+# its own in perfbench/ that builds against this module's internal packages
+# through `replace wsan => ../`, so nothing else compiles it.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # e2e starts a real daemon and drives it over the wire with the wsanclient
 # SDK. Phase 1 (examples/stream): register a network, run a schedule job,

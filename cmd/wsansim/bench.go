@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -42,6 +43,7 @@ const (
 	benchStoreFile       = "BENCH_store.json"
 	benchReliabilityFile = "BENCH_reliability.json"
 	benchChurnFile       = "BENCH_churn.json"
+	benchTopologyFile    = "BENCH_topology.json"
 )
 
 // storeBenchArtifacts is the artifact-store population for BENCH_store.json.
@@ -60,6 +62,9 @@ type benchEntry struct {
 	// (schedule transmissions, rendered tables, or delivery counts). It must
 	// match exactly across machines and iteration counts.
 	Checksum string `json:"checksum"`
+	// RetainedBytes is the live heap one result of the workload holds
+	// after a collection; set by the cases whose output is kept around.
+	RetainedBytes int64 `json:"retained_bytes,omitempty"`
 }
 
 // benchFile is the on-disk shape of a BENCH_*.json baseline.
@@ -111,6 +116,7 @@ func runBench(args []string, mets obs.Sink) error {
 		{benchSimulateFile, "TSCH network simulator: 50-flow WUSTL schedule, one hyperperiod per op", sim},
 		{benchStoreFile, "artifact store at 10k artifacts: cold-start warm-scan, and disk lookup where ns_per_op is the p99 latency", store},
 		{benchReliabilityFile, "reliability-target budgeting: the planning pass over the Fig 6 Indriya workload, and a budgeted RC schedule of the 50-flow WUSTL operating point", rel},
+		{benchTopologyFile, "topology survey: generate one Indriya (80-node) or WUSTL (60-node) testbed at seed 1; the checksum covers its Encode bytes, retained_bytes is one testbed's live heap", topologyBenchCases()},
 		{benchChurnFile, "sustained-churn soak: 200-flow Indriya grid under a seeded add/remove/reroute/re-budget delta stream with replay-oracle checks; ns_per_op is the mean apply latency per committed delta", buildChurnBenchCases()},
 	}
 
@@ -123,8 +129,12 @@ func runBench(args []string, mets obs.Sink) error {
 				return fmt.Errorf("bench %s: %w", c.name, err)
 			}
 			fresh.Entries = append(fresh.Entries, e)
-			fmt.Printf("%-24s %12d ns/op %10d B/op %8d allocs/op  %s\n",
+			fmt.Printf("%-24s %12d ns/op %10d B/op %8d allocs/op  %s",
 				e.Name, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp, e.Checksum)
+			if e.RetainedBytes > 0 {
+				fmt.Printf("  %d B retained", e.RetainedBytes)
+			}
+			fmt.Println()
 		}
 		path := filepath.Join(*out, f.name)
 		if *check {
@@ -395,6 +405,51 @@ func budgetDigest(assigns []wsan.BudgetAssignment) []byte {
 		buf = fmt.Appendf(buf, "%d:%v/%.6f/%v;", a.FlowID, a.Plan.Attempts, a.Plan.Prob, a.Plan.Feasible)
 	}
 	return buf
+}
+
+// topologyBenchCases times the survey generator of each testbed preset.
+func topologyBenchCases() []benchCase {
+	gen := func(name string, generate func(int64) (*wsan.Testbed, error)) benchCase {
+		return benchCase{name: name, custom: func(short bool) (benchEntry, error) {
+			return measureTopologyGen(name, generate, short)
+		}}
+	}
+	return []benchCase{
+		gen("topology/indriya-gen", wsan.GenerateIndriya),
+		gen("topology/wustl-gen", wsan.GenerateWUSTL),
+	}
+}
+
+// measureTopologyGen times generate(1). The checksum is over the testbed's
+// Encode bytes, which stay out of the timed loop, and retained_bytes is
+// the live heap one generated testbed holds.
+func measureTopologyGen(name string, generate func(int64) (*wsan.Testbed, error), short bool) (benchEntry, error) {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	live := ms.HeapAlloc
+	tb, err := generate(1)
+	if err != nil {
+		return benchEntry{}, err
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	retained := int64(ms.HeapAlloc) - int64(live)
+	var enc bytes.Buffer
+	if err := wsan.SaveTestbed(tb, &enc); err != nil {
+		return benchEntry{}, err
+	}
+	e, err := measureCase(benchCase{
+		name:        name,
+		iters:       100,
+		warmupIters: 2,
+		run: func() ([]byte, error) {
+			_, err := generate(1)
+			return enc.Bytes(), err
+		},
+	}, short)
+	e.RetainedBytes = retained
+	return e, err
 }
 
 // storeBenchID derives the deterministic content address of the i-th

@@ -2,6 +2,9 @@ package wsan_test
 
 import (
 	"bytes"
+	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"wsan"
@@ -32,8 +35,20 @@ func FuzzLoadTestbed(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"name":"x","nodes":[{"id":0}],"gains":[]}`))
 	f.Add([]byte(`not json`))
+	f.Add([]byte(`{"nodes":[` + strings.Repeat(`{},`, wsan.MaxTestbedNodes) + `{}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tb, err := wsan.LoadTestbed(bytes.NewReader(data))
+		var tb *wsan.Testbed
+		var err error
+		grew := allocatedBy(func() { tb, err = wsan.LoadTestbed(bytes.NewReader(data)) })
+		n := 0
+		if err == nil {
+			n = tb.NumNodes()
+		}
+		// The decoder's buffers and values are a bounded multiple of the
+		// input; the accepted nodes add two dense n×n×16 float64 tables.
+		if limit := 256*uint64(len(data)) + 2*uint64(n*n*wsan.NumChannels)*8 + 1<<20; grew > limit {
+			t.Fatalf("loading %d bytes (%d nodes) allocated %d bytes, bound %d", len(data), n, grew, limit)
+		}
 		if err != nil {
 			return
 		}
@@ -45,10 +60,31 @@ func FuzzLoadTestbed(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded testbed fails to decode: %v", err)
 		}
-		if again.NumNodes() != tb.NumNodes() {
-			t.Fatalf("round trip changed node count: %d → %d", tb.NumNodes(), again.NumNodes())
+		if again.NumNodes() != n {
+			t.Fatalf("round trip changed node count: %d → %d", n, again.NumNodes())
+		}
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				for ch := 0; ch < wsan.NumChannels; ch++ {
+					if a, b := tb.PRR(u, v, ch), again.PRR(u, v, ch); math.Float64bits(a) != math.Float64bits(b) {
+						t.Fatalf("round trip changed PRR(%d,%d,%d): %v → %v", u, v, ch, a, b)
+					}
+					if a, b := tb.GainDBm(u, v, ch), again.GainDBm(u, v, ch); math.Float64bits(a) != math.Float64bits(b) {
+						t.Fatalf("round trip changed GainDBm(%d,%d,%d): %v → %v", u, v, ch, a, b)
+					}
+				}
+			}
 		}
 	})
+}
+
+// allocatedBy returns the bytes fn allocated on the heap.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 func FuzzLoadWorkload(f *testing.F) {

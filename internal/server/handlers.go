@@ -5,6 +5,8 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
+
+	"wsan"
 )
 
 // handleHealthz reports liveness.
@@ -46,8 +48,12 @@ func (s *Server) handleCreateNetwork(w http.ResponseWriter, r *http.Request) {
 	e, err := s.nets.create(req)
 	if err != nil {
 		status, code := http.StatusBadRequest, codeInvalidRequest
-		if errors.Is(err, errExists) {
+		var limit *wsan.NodeLimitError
+		switch {
+		case errors.Is(err, errExists):
 			status, code = http.StatusConflict, codeConflict
+		case errors.As(err, &limit):
+			status = http.StatusRequestEntityTooLarge
 		}
 		writeErr(w, status, code, "%v", err)
 		return

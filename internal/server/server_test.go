@@ -479,6 +479,25 @@ func TestNetworkLifecycle(t *testing.T) {
 	}
 }
 
+// An uploaded topology over the node limit is refused with 413 before the
+// loader allocates its link tables.
+func TestCreateNetworkNodeLimit(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 2})
+	nodes := make([]wsan.Node, wsan.MaxTestbedNodes+1)
+	doc, err := json.Marshal(map[string]any{"name": "huge", "nodes": nodes, "links": []any{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env errorBody
+	code := doJSON(t, http.MethodPost, ts.URL+"/v1/networks", map[string]any{
+		"name":    "huge",
+		"testbed": json.RawMessage(doc),
+	}, &env)
+	if code != http.StatusRequestEntityTooLarge || env.Error.Code != codeInvalidRequest {
+		t.Fatalf("status %d code %q, want 413 %q", code, env.Error.Code, codeInvalidRequest)
+	}
+}
+
 // TestGracefulShutdown verifies that draining rejects new submissions and
 // that a shutdown deadline forcibly cancels a stuck job.
 func TestGracefulShutdown(t *testing.T) {

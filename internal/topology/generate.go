@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"wsan/internal/radio"
 )
@@ -119,6 +120,9 @@ func Generate(cfg GenConfig, seed int64) (*Testbed, error) {
 	if cfg.NumNodes < 2 {
 		return nil, fmt.Errorf("generate %s: need at least 2 nodes, have %d", cfg.Name, cfg.NumNodes)
 	}
+	if cfg.NumNodes > MaxNodes {
+		return nil, fmt.Errorf("generate %s: %w", cfg.Name, &NodeLimitError{Nodes: cfg.NumNodes})
+	}
 	if cfg.Floors < 1 {
 		return nil, fmt.Errorf("generate %s: need at least 1 floor, have %d", cfg.Name, cfg.Floors)
 	}
@@ -128,17 +132,19 @@ func Generate(cfg GenConfig, seed int64) (*Testbed, error) {
 		Nodes: placeNodes(cfg, rng),
 	}
 	n := cfg.NumNodes
-	tb.gain = make([]float64, n*n*NumChannels)
-	tb.prr = make([]float64, n*n*NumChannels)
 
 	// Per-node hardware offsets (TX power and RX sensitivity calibration).
-	txOff := make([]float64, n)
-	rxOff := make([]float64, n)
+	tb.txOff = make([]float64, n)
+	tb.rxOff = make([]float64, n)
 	for i := 0; i < n; i++ {
-		txOff[i] = rng.NormFloat64() * cfg.NodeOffsetSigmaDB
-		rxOff[i] = rng.NormFloat64() * cfg.NodeOffsetSigmaDB
+		tb.txOff[i] = rng.NormFloat64() * cfg.NodeOffsetSigmaDB
+		tb.rxOff[i] = rng.NormFloat64() * cfg.NodeOffsetSigmaDB
 	}
 
+	// u→v and v→u share path loss, shadowing, and channel fade; they differ
+	// only in the endpoint hardware offsets, which GainDBm adds on read.
+	tb.pairGain = make([]float64, n*(n-1)/2*NumChannels)
+	k := 0
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			shadow := rng.NormFloat64() * cfg.ShadowSigmaDB
@@ -146,20 +152,12 @@ func Generate(cfg GenConfig, seed int64) (*Testbed, error) {
 			loss := cfg.PathLoss.LossDB(tb.Distance(u, v), floors) + shadow
 			for ch := 0; ch < NumChannels; ch++ {
 				chFade := rng.NormFloat64() * cfg.ChannelFadeSigmaDB
-				// u→v and v→u share path loss, shadowing, and channel fade;
-				// they differ only in the endpoint hardware offsets.
-				guv := cfg.TxPowerDBm - loss - chFade + txOff[u] + rxOff[v]
-				gvu := cfg.TxPowerDBm - loss - chFade + txOff[v] + rxOff[u]
-				tb.gain[tb.index(u, v, ch)] = guv
-				tb.gain[tb.index(v, u, ch)] = gvu
-				tb.prr[tb.index(u, v, ch)] = cfg.measuredPRR(guv)
-				tb.prr[tb.index(v, u, ch)] = cfg.measuredPRR(gvu)
+				tb.pairGain[k] = cfg.TxPowerDBm - loss - chFade
+				k++
 			}
 		}
-		for ch := 0; ch < NumChannels; ch++ {
-			tb.gain[tb.index(u, u, ch)] = math.Inf(-1)
-		}
 	}
+	tb.survey(cfg)
 	return tb, nil
 }
 
@@ -172,12 +170,14 @@ func Custom(name string, nodes []Node, gain func(u, v, ch int) float64, cfg GenC
 	if len(nodes) < 2 {
 		return nil, fmt.Errorf("custom testbed %s: need at least 2 nodes, have %d", name, len(nodes))
 	}
+	if len(nodes) > MaxNodes {
+		return nil, fmt.Errorf("custom testbed %s: %w", name, &NodeLimitError{Nodes: len(nodes)})
+	}
 	n := len(nodes)
 	tb := &Testbed{
 		Name:  name,
 		Nodes: append([]Node(nil), nodes...),
 		gain:  make([]float64, n*n*NumChannels),
-		prr:   make([]float64, n*n*NumChannels),
 	}
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
@@ -186,13 +186,58 @@ func Custom(name string, nodes []Node, gain func(u, v, ch int) float64, cfg GenC
 					tb.gain[tb.index(u, v, ch)] = math.Inf(-1)
 					continue
 				}
-				g := gain(u, v, ch)
-				tb.gain[tb.index(u, v, ch)] = g
-				tb.prr[tb.index(u, v, ch)] = cfg.measuredPRR(g)
+				tb.gain[tb.index(u, v, ch)] = gain(u, v, ch)
 			}
 		}
 	}
+	tb.survey(cfg)
 	return tb, nil
+}
+
+// survey records the PRR of every directed link from its gain, as cfg's
+// receiver would measure it: as one-byte codes into the receiver's step
+// table where there is one, otherwise evaluated directly and stored dense.
+func (tb *Testbed) survey(cfg GenConfig) {
+	if t := cfg.prrTable(); t != nil {
+		if code := tb.prrCodes(t); code != nil {
+			tb.prrCode, tb.levels = code, t.levels
+			return
+		}
+	}
+	n := len(tb.Nodes)
+	tb.prr = make([]float64, n*n*NumChannels)
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if u == v {
+				continue
+			}
+			for ch := 0; ch < NumChannels; ch++ {
+				tb.prr[tb.index(u, v, ch)] = cfg.measuredPRR(tb.GainDBm(u, v, ch))
+			}
+		}
+	}
+}
+
+// prrCodes looks every directed link's gain up in t, or returns nil when a
+// gain is NaN, which only the direct path measures.
+func (tb *Testbed) prrCodes(t *prrTable) []uint8 {
+	n := len(tb.Nodes)
+	code := make([]uint8, n*n*NumChannels)
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if u == v {
+				continue
+			}
+			for ch := 0; ch < NumChannels; ch++ {
+				g := tb.GainDBm(u, v, ch)
+				if math.IsNaN(g) {
+					return nil
+				}
+				code[tb.index(u, v, ch)] = t.code(g)
+			}
+		}
+	}
+	return code
 }
 
 // gaussHermite7 holds the 7-point Gauss-Hermite nodes and weights for
@@ -210,7 +255,8 @@ var gaussHermite7 = [7][2]float64{
 
 // measuredPRR converts a mean received power to the PRR a link survey would
 // record: the fading-averaged interference-free PRR, quantized to the
-// probe-count resolution, with sub-floor values reported as zero.
+// probe-count resolution, with sub-floor values reported as zero. Surveys
+// read it through the receiver's prrTable; it is the table's oracle.
 func (cfg GenConfig) measuredPRR(rxDBm float64) float64 {
 	snr := rxDBm - cfg.NoiseFloorDBm
 	var prr float64
@@ -236,6 +282,152 @@ func (cfg GenConfig) measuredPRR(rxDBm float64) float64 {
 		return 1
 	}
 	return prr
+}
+
+// prrTable is measuredPRR of one receiver configuration as the step
+// function it is: the output is quantized to 1/ProbeCount, so it takes a
+// few dozen levels, each over an interval of rxDBm. breaks[i] is the least
+// float64 whose measured PRR is levels[i+1]; every input below breaks[0]
+// measures levels[0]. The levels strictly increase.
+type prrTable struct {
+	breaks []float64
+	levels []float64
+}
+
+// maxPRRLevels is the most levels a table may hold: a level's index is
+// stored as a uint8 code.
+const maxPRRLevels = 256
+
+// buildPRRTable finds every breakpoint of cfg.measuredPRR by bisection on
+// the exact function, down to adjacent float64 values, over the whole
+// float64 line. It returns nil, leaving callers on the direct path, when
+// probes are not quantized, when the levels do not fit a uint8 code, or
+// when the function is not a non-decreasing step function at the points
+// the bisection probed (including ±Inf).
+func buildPRRTable(cfg GenConfig) *prrTable {
+	if cfg.ProbeCount <= 0 {
+		return nil
+	}
+	lo, hi := -math.MaxFloat64, math.MaxFloat64
+	flo, fhi := cfg.measuredPRR(lo), cfg.measuredPRR(hi)
+	if cfg.measuredPRR(math.Inf(-1)) != flo || cfg.measuredPRR(math.Inf(1)) != fhi {
+		return nil // also rejects a NaN level
+	}
+	t := &prrTable{levels: []float64{flo}}
+	if !t.split(cfg, lo, flo, hi, fhi) {
+		return nil
+	}
+	return t
+}
+
+// split appends the breakpoints in (a, b] in increasing order, given
+// fa = measuredPRR(a) and fb = measuredPRR(b). An interval whose ends
+// measure the same level is taken to be flat. A level is appended only
+// above the level to its left, so the levels strictly increase; split
+// reports false when a probe measures below its left neighbour (or NaN)
+// or the levels outgrow a uint8 code.
+func (t *prrTable) split(cfg GenConfig, a, fa, b, fb float64) bool {
+	switch {
+	case fa == fb:
+		return true
+	case !(fa < fb) || len(t.levels) >= maxPRRLevels:
+		return false
+	}
+	m, adjacent := orderedMid(a, b)
+	if adjacent {
+		t.breaks = append(t.breaks, b)
+		t.levels = append(t.levels, fb)
+		return true
+	}
+	fm := cfg.measuredPRR(m)
+	return t.split(cfg, a, fa, m, fm) && t.split(cfg, m, fm, b, fb)
+}
+
+// orderedMid returns the float64 halfway between a < b in the order of
+// representable values, so a bisection reaches adjacent values in at most
+// 64 steps from any interval; adjacent reports that none lies between.
+func orderedMid(a, b float64) (mid float64, adjacent bool) {
+	oa, ob := orderedBits(a), orderedBits(b)
+	if oa+1 >= ob {
+		return 0, true
+	}
+	om := oa>>1 + ob>>1 + oa&ob&1
+	if om >= 0 {
+		return math.Float64frombits(uint64(om)), false
+	}
+	return math.Float64frombits(uint64(math.MinInt64 - om)), false
+}
+
+// orderedBits maps a float64 to an int64 that orders like the float (both
+// zeros map to 0).
+func orderedBits(x float64) int64 {
+	b := int64(math.Float64bits(x))
+	if b < 0 {
+		b = math.MinInt64 - b
+	}
+	return b
+}
+
+// code returns the index into t.levels of measuredPRR(rx), for any rx but
+// NaN.
+func (t *prrTable) code(rx float64) uint8 {
+	lo, hi := 0, len(t.breaks)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if t.breaks[m] <= rx {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return uint8(lo)
+}
+
+// receiverKey is every GenConfig field measuredPRR reads.
+type receiverKey struct {
+	noiseFloorDBm, temporalFadeSigmaDB, measurementFloor float64
+	packetBits, probeCount                               int
+}
+
+// prrTableCacheSize bounds how many receiver configurations' tables a
+// process keeps; past it, an arbitrary entry is dropped for the new one.
+const prrTableCacheSize = 8
+
+// prrTables caches the step table of each receiver configuration. Surveys
+// run concurrently (sweep callers, daemon registrations), so entries are
+// guarded and each table is built once.
+var prrTables = struct {
+	sync.Mutex
+	m map[receiverKey]*prrTableEntry
+}{m: make(map[receiverKey]*prrTableEntry)}
+
+type prrTableEntry struct {
+	once  sync.Once
+	table *prrTable
+}
+
+// prrTable returns the receiver's step table, building it on first use,
+// or nil when PRRs must be evaluated directly.
+func (cfg GenConfig) prrTable() *prrTable {
+	if cfg.ProbeCount <= 0 {
+		return nil
+	}
+	key := receiverKey{cfg.NoiseFloorDBm, cfg.TemporalFadeSigmaDB, cfg.MeasurementFloor, cfg.PacketBits, cfg.ProbeCount}
+	prrTables.Lock()
+	e := prrTables.m[key]
+	if e == nil {
+		if len(prrTables.m) >= prrTableCacheSize {
+			for k := range prrTables.m {
+				delete(prrTables.m, k)
+				break
+			}
+		}
+		e = &prrTableEntry{}
+		prrTables.m[key] = e
+	}
+	prrTables.Unlock()
+	e.once.Do(func() { e.table = buildPRRTable(cfg) })
+	return e.table
 }
 
 // Placement selects how nodes are laid out on each floor.

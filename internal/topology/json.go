@@ -55,7 +55,12 @@ func (tb *Testbed) Encode(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// Decode reads a testbed previously written by Encode.
+// Decode reads a testbed previously written by Encode. It refuses more
+// than MaxNodes nodes (with a *NodeLimitError) before allocating the link
+// tables, and refuses links that reference a missing node, PRRs outside
+// [0,1], and gains that are NaN or +Inf. A link whose PRR is zero on every
+// channel is left disconnected, as Encode would write it, so a decoded
+// testbed re-encodes and decodes to the same PRRs and gains.
 func Decode(r io.Reader) (*Testbed, error) {
 	var in testbedJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -64,6 +69,22 @@ func Decode(r io.Reader) (*Testbed, error) {
 	n := len(in.Nodes)
 	if n < 2 {
 		return nil, fmt.Errorf("decode testbed: %d nodes, need at least 2", n)
+	}
+	if n > MaxNodes {
+		return nil, fmt.Errorf("decode testbed: %w", &NodeLimitError{Nodes: n})
+	}
+	for _, lj := range in.Links {
+		if lj.From < 0 || lj.From >= n || lj.To < 0 || lj.To >= n {
+			return nil, fmt.Errorf("decode testbed: link (%d,%d) out of range", lj.From, lj.To)
+		}
+		for ch := 0; ch < NumChannels; ch++ {
+			if p := lj.PRR[ch]; !(p >= 0 && p <= 1) {
+				return nil, fmt.Errorf("decode testbed: link (%d,%d) channel %d: PRR %v outside [0,1]", lj.From, lj.To, ch, p)
+			}
+			if g := lj.Gain[ch]; math.IsNaN(g) || math.IsInf(g, 1) {
+				return nil, fmt.Errorf("decode testbed: link (%d,%d) channel %d: gain %v", lj.From, lj.To, ch, g)
+			}
+		}
 	}
 	tb := &Testbed{
 		Name:  in.Name,
@@ -75,8 +96,8 @@ func Decode(r io.Reader) (*Testbed, error) {
 		tb.gain[i] = math.Inf(-1)
 	}
 	for _, lj := range in.Links {
-		if lj.From < 0 || lj.From >= n || lj.To < 0 || lj.To >= n {
-			return nil, fmt.Errorf("decode testbed: link (%d,%d) out of range", lj.From, lj.To)
+		if lj.From == lj.To || lj.PRR == ([NumChannels]float64{}) {
+			continue
 		}
 		for ch := 0; ch < NumChannels; ch++ {
 			tb.prr[tb.index(lj.From, lj.To, ch)] = lj.PRR[ch]

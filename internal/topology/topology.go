@@ -64,20 +64,50 @@ type Node struct {
 	Floor int     `json:"floor"`
 }
 
+// MaxNodes is the largest testbed Generate, Custom and Decode build. A
+// testbed's link tables grow with the square of its node count: at the cap,
+// a decoded testbed's dense gain and PRR matrices take 64 MiB, and the
+// check runs before they are allocated, so a small document cannot demand
+// an unbounded allocation. The paper's testbeds have 60 and 80 nodes.
+const MaxNodes = 512
+
+// NodeLimitError reports a testbed with more than MaxNodes nodes.
+type NodeLimitError struct {
+	// Nodes is the node count asked for.
+	Nodes int
+}
+
+func (e *NodeLimitError) Error() string {
+	return fmt.Sprintf("%d nodes exceeds the limit of %d", e.Nodes, MaxNodes)
+}
+
 // Testbed is a set of nodes plus the measured (here: synthesized) mean link
 // gain and PRR on every channel for every ordered node pair. It is the input
 // the WirelessHART network manager works from.
+//
+// Gains and PRRs each have two layouts, chosen by the constructor and
+// invisible behind GainDBm and PRR. Custom and Decode take arbitrary gains
+// and keep them dense; Generate keeps only what its model draws.
 type Testbed struct {
 	Name  string
 	Nodes []Node
 
-	// gain[u*n*16 + v*16 + ch] is the mean received power in dBm at v when u
-	// transmits on channel index ch at DefaultTxPowerDBm. NegInf (well below
-	// the noise floor) for u==v.
+	// gain[(u*n+v)*16 + ch] is the mean received power in dBm at v when u
+	// transmits on channel index ch at DefaultTxPowerDBm (dense layout).
 	gain []float64
-	// prr has the same layout and holds the interference-free PRR as it
-	// would be measured by neighbor-discovery probing.
-	prr []float64
+	// Compact layout of a generated testbed: pairGain[pairIndex(u,v)*16 +
+	// ch] is (Tx − loss) − chFade, the part of the gain both directions of
+	// the pair share, and the gain is (pairGain + txOff[u]) + rxOff[v]: the
+	// generator's own summation order, so the value is bit-exact.
+	pairGain     []float64
+	txOff, rxOff []float64
+
+	// The interference-free PRR as neighbor-discovery probing would
+	// measure it, laid out like gain: either dense in prr, or as
+	// levels[prrCode[(u*n+v)*16 + ch]], codes into the survey's step table.
+	prr     []float64
+	prrCode []uint8
+	levels  []float64
 }
 
 // NumNodes returns the number of field devices.
@@ -86,6 +116,15 @@ func (tb *Testbed) NumNodes() int { return len(tb.Nodes) }
 func (tb *Testbed) index(u, v, ch int) int {
 	n := len(tb.Nodes)
 	return (u*n+v)*NumChannels + ch
+}
+
+// pairIndex numbers the unordered pair {u, v}, u != v, in row order of the
+// upper triangle.
+func (tb *Testbed) pairIndex(u, v int) int {
+	if u > v {
+		u, v = v, u
+	}
+	return u*(2*len(tb.Nodes)-u-1)/2 + v - u - 1
 }
 
 func (tb *Testbed) inRange(u, v, ch int) bool {
@@ -100,7 +139,10 @@ func (tb *Testbed) PRR(u, v, ch int) float64 {
 	if !tb.inRange(u, v, ch) || u == v {
 		return 0
 	}
-	return tb.prr[tb.index(u, v, ch)]
+	if tb.prr != nil {
+		return tb.prr[tb.index(u, v, ch)]
+	}
+	return tb.levels[tb.prrCode[tb.index(u, v, ch)]]
 }
 
 // GainDBm returns the mean received power in dBm at v when u transmits on
@@ -110,7 +152,10 @@ func (tb *Testbed) GainDBm(u, v, ch int) float64 {
 	if !tb.inRange(u, v, ch) || u == v {
 		return math.Inf(-1)
 	}
-	return tb.gain[tb.index(u, v, ch)]
+	if tb.gain != nil {
+		return tb.gain[tb.index(u, v, ch)]
+	}
+	return tb.pairGain[tb.pairIndex(u, v)*NumChannels+ch] + tb.txOff[u] + tb.rxOff[v]
 }
 
 // CommGraph builds the communication graph G_c over the given channel

@@ -72,6 +72,8 @@ type (
 	Node = topology.Node
 	// TestbedConfig parameterizes synthetic testbed generation.
 	TestbedConfig = topology.GenConfig
+	// NodeLimitError reports a testbed with more than MaxTestbedNodes nodes.
+	NodeLimitError = topology.NodeLimitError
 	// Flow is one periodic end-to-end real-time flow.
 	Flow = flow.Flow
 	// Link is a directed hop.
@@ -164,6 +166,10 @@ const (
 // NumChannels is the number of IEEE 802.15.4 channels (16, numbered 11–26
 // and indexed 0–15 here).
 const NumChannels = topology.NumChannels
+
+// MaxTestbedNodes is the largest testbed GenerateTestbed, CustomTestbed and
+// LoadTestbed build; past it they return a *NodeLimitError.
+const MaxTestbedNodes = topology.MaxNodes
 
 // GenerateIndriya synthesizes the 80-node Indriya-like testbed.
 func GenerateIndriya(seed int64) (*Testbed, error) {
