@@ -25,10 +25,9 @@ microbench:
 # pools, and the replay oracle asserting zero schedule drift throughout.
 # The server half includes the multi-worker queue sweep (four soak jobs plus
 # simulate jobs on a Workers=4 pool, per-job oracle digests compared against
-# a direct in-process run), and the scheduler half pins the sharded placeRC
-# candidate evaluation byte-identical to the sequential reference with the
-# parallel path forced on. `wsansim soak` runs the same harness at
-# evaluation scale (500 flows).
+# a direct in-process run), and the scheduler half pins the indexed NR/RA/RC
+# placements byte-identical to the pre-index reference scans. `wsansim soak`
+# runs the same harness at evaluation scale (500 flows).
 soak-smoke:
 	$(GO) test -race -count=1 -run 'TestSoak|TestScanVsIndexIdentical' \
 		./internal/soak/ ./internal/server/ ./internal/scheduler/

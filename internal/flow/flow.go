@@ -20,6 +20,18 @@ import (
 // SlotsPerSecond is the slot rate of a 10 ms TSCH slot frame.
 const SlotsPerSecond = 100
 
+// Workload limits. Generate refuses anything outside them, and the daemon
+// checks job parameters against them before it queues a job. A period of
+// 2^MaxPeriodExp s is 6400 slots, four times the longest period any
+// experiment draws (2^4 s); at 2^30 s a single schedule grid would need
+// hundreds of gigabytes. MaxFlows is four times the soak's 1000-flow
+// candidate pool.
+const (
+	MinPeriodExp = -2 // 25 slots
+	MaxPeriodExp = 6  // 6400 slots
+	MaxFlows     = 4096
+)
+
 // Link is one directed hop of a route.
 type Link struct {
 	From int `json:"from"`
@@ -116,7 +128,9 @@ func AdaptBudget(budget []int, hops int) []int {
 }
 
 // PeriodSlots converts a period exponent (period = 2^exp seconds) to slots.
-// Exponents may be negative (2^-1 s = 50 slots).
+// Exponents may be negative (2^-1 s = 50 slots). Only exponents in
+// [MinPeriodExp, MaxPeriodExp] are meaningful: far below the range the
+// period rounds to zero slots, and from 57 up the shift overflows.
 func PeriodSlots(exp int) int {
 	if exp >= 0 {
 		return SlotsPerSecond << uint(exp)
@@ -240,12 +254,16 @@ type GenConfig struct {
 // and each deadline is uniform over [period/2, period]. Routes are left
 // empty. Priorities are assigned Deadline-Monotonically before returning.
 func Generate(rng *rand.Rand, g *graph.Graph, cfg GenConfig) ([]*Flow, error) {
-	if cfg.NumFlows <= 0 {
-		return nil, fmt.Errorf("generate workload: NumFlows %d must be positive", cfg.NumFlows)
+	if cfg.NumFlows <= 0 || cfg.NumFlows > MaxFlows {
+		return nil, fmt.Errorf("generate workload: NumFlows %d must be in [1, %d]", cfg.NumFlows, MaxFlows)
 	}
 	if cfg.MinPeriodExp > cfg.MaxPeriodExp {
 		return nil, fmt.Errorf("generate workload: period range [2^%d, 2^%d] is empty",
 			cfg.MinPeriodExp, cfg.MaxPeriodExp)
+	}
+	if cfg.MinPeriodExp < MinPeriodExp || cfg.MaxPeriodExp > MaxPeriodExp {
+		return nil, fmt.Errorf("generate workload: period range [2^%d, 2^%d] leaves [2^%d, 2^%d]",
+			cfg.MinPeriodExp, cfg.MaxPeriodExp, MinPeriodExp, MaxPeriodExp)
 	}
 	excluded := make(map[int]bool, len(cfg.Exclude))
 	for _, id := range cfg.Exclude {

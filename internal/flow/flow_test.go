@@ -155,6 +155,28 @@ func TestGenerateBasics(t *testing.T) {
 	}
 }
 
+// Generate refuses workloads outside the documented limits before drawing
+// anything: at 2^30 s one period is 100·2^30 slots, a schedule grid no
+// machine can hold.
+func TestGenerateLimits(t *testing.T) {
+	g := completeGraph(10)
+	for _, cfg := range []GenConfig{
+		{NumFlows: 2, MinPeriodExp: 30, MaxPeriodExp: 30},
+		{NumFlows: 2, MinPeriodExp: 0, MaxPeriodExp: MaxPeriodExp + 1},
+		{NumFlows: 2, MinPeriodExp: MinPeriodExp - 1, MaxPeriodExp: 0},
+		{NumFlows: MaxFlows + 1, MinPeriodExp: 0, MaxPeriodExp: 0},
+	} {
+		if _, err := Generate(rand.New(rand.NewSource(1)), g, cfg); err == nil {
+			t.Errorf("Generate(%+v) accepted", cfg)
+		}
+	}
+	flows, err := Generate(rand.New(rand.NewSource(1)), g,
+		GenConfig{NumFlows: MaxFlows, MinPeriodExp: MinPeriodExp, MaxPeriodExp: MaxPeriodExp})
+	if err != nil || len(flows) != MaxFlows {
+		t.Fatalf("Generate at the limits: %d flows, %v", len(flows), err)
+	}
+}
+
 func TestGenerateExcludesAPs(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := completeGraph(10)

@@ -154,12 +154,41 @@ func (a *txArena) carve(n int) []Tx {
 // slices must no longer be referenced.
 func (a *txArena) reset() { a.cur, a.off = 0, 0 }
 
-// New creates an empty schedule covering numSlots slots, numOffsets channel
-// offsets, and nodes 0..numNodes-1.
-func New(numSlots, numOffsets, numNodes int) (*Schedule, error) {
+// MaxCells caps a schedule grid's slots × offsets. The cell table costs 24
+// bytes per cell before anything is placed, so the cap (24 MiB of table)
+// is checked before allocation. The largest grid any caller builds is
+// 1600 slots × 16 offsets; a period of 2^flow.MaxPeriodExp s at 16 offsets
+// is 102400 cells.
+const MaxCells = 1 << 20
+
+// GridLimitError reports a schedule grid above MaxCells cells.
+type GridLimitError struct {
+	Slots, Offsets int
+}
+
+func (e *GridLimitError) Error() string {
+	return fmt.Sprintf("schedule grid of %d slots × %d offsets exceeds the limit of %d cells",
+		e.Slots, e.Offsets, MaxCells)
+}
+
+// checkDims validates grid dimensions for New and Reset.
+func checkDims(numSlots, numOffsets, numNodes int) error {
 	if numSlots <= 0 || numOffsets <= 0 || numNodes <= 0 {
-		return nil, fmt.Errorf("schedule dimensions must be positive: slots=%d offsets=%d nodes=%d",
+		return fmt.Errorf("schedule dimensions must be positive: slots=%d offsets=%d nodes=%d",
 			numSlots, numOffsets, numNodes)
+	}
+	if numSlots > MaxCells/numOffsets {
+		return &GridLimitError{Slots: numSlots, Offsets: numOffsets}
+	}
+	return nil
+}
+
+// New creates an empty schedule covering numSlots slots, numOffsets channel
+// offsets, and nodes 0..numNodes-1. A grid above MaxCells cells is refused
+// with a *GridLimitError.
+func New(numSlots, numOffsets, numNodes int) (*Schedule, error) {
+	if err := checkDims(numSlots, numOffsets, numNodes); err != nil {
+		return nil, err
 	}
 	words := (numSlots + 63) / 64
 	offWords := (numOffsets + 63) / 64
@@ -194,9 +223,8 @@ func New(numSlots, numOffsets, numNodes int) (*Schedule, error) {
 // PairCount handles are bound to the old geometry and must not be used after
 // a Reset that changes the slot or node dimensions.
 func (s *Schedule) Reset(numSlots, numOffsets, numNodes int) error {
-	if numSlots <= 0 || numOffsets <= 0 || numNodes <= 0 {
-		return fmt.Errorf("schedule dimensions must be positive: slots=%d offsets=%d nodes=%d",
-			numSlots, numOffsets, numNodes)
+	if err := checkDims(numSlots, numOffsets, numNodes); err != nil {
+		return err
 	}
 	words := (numSlots + 63) / 64
 	offWords := (numOffsets + 63) / 64

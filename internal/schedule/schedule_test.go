@@ -1,7 +1,9 @@
 package schedule
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -27,6 +29,30 @@ func TestNewValidation(t *testing.T) {
 		if _, err := New(dims[0], dims[1], dims[2]); err == nil {
 			t.Errorf("New(%v) should fail", dims)
 		}
+	}
+}
+
+// A grid above MaxCells is refused before its cell table is allocated, by
+// New, Reset and Decode alike, with a *GridLimitError.
+func TestGridLimit(t *testing.T) {
+	var limit *GridLimitError
+	// 100·2^30 slots: one period of 2^30 s.
+	if _, err := New(100<<30, 16, 60); !errors.As(err, &limit) {
+		t.Fatalf("New(2^30 s period) = %v, want a GridLimitError", err)
+	}
+	if _, err := New(MaxCells/16+1, 16, 4); !errors.As(err, &limit) {
+		t.Fatalf("New(one slot past the cap) = %v, want a GridLimitError", err)
+	}
+	if _, err := New(MaxCells/16, 16, 4); err != nil {
+		t.Fatalf("New at the cap: %v", err)
+	}
+	s := mustNew(t, 10, 2, 4)
+	if err := s.Reset(MaxCells+1, 1, 4); !errors.As(err, &limit) {
+		t.Fatalf("Reset past the cap = %v, want a GridLimitError", err)
+	}
+	doc := `{"numSlots":107374182400,"numOffsets":16,"numNodes":60,"transmissions":[]}`
+	if _, err := Decode(strings.NewReader(doc)); !errors.As(err, &limit) {
+		t.Fatalf("Decode(huge grid) = %v, want a GridLimitError", err)
 	}
 }
 

@@ -232,8 +232,7 @@ type engine struct {
 
 	// rowU/rowV are the current attempt's hoisted G_R distance rows
 	// (rowU[y] = d(u,y), rowV[x] = d(x,v) by symmetry), bound by bindRows;
-	// nil when the matrix does not cover every schedule node. Read-only
-	// while evaluation shards run.
+	// nil when the matrix does not cover every schedule node.
 	rowU, rowV []uint8
 
 	// cands caches one RC placement attempt's candidate slots (see
@@ -774,17 +773,14 @@ func (e *engine) buildCands(u, v, s0, deadline int) {
 // cell's memoized minimum reuse-constraint distance and load
 // (candDist/candLoad), the slot's best cell distance (maxDist), and the
 // attempt-wide best (maxDistAll). The schedule is unmutated for the
-// attempt's duration, so one evaluation serves every ρ level.
+// attempt's duration, so one evaluation serves every ρ level. The reuse-memo
+// counters count every cached cell once here as a miss, rather than per
+// ρ-level visit.
 //
-// Above distParallelMin cells the fill is sharded across the worker pool:
-// pass 1 sizes each slot's candOcc range from OccupiedCount, so every shard
-// writes only its own slots' precomputed disjoint index ranges, and every
-// selection loop — rcFind's (load, offset) minimum, the fallback reduction,
-// the maxDistAll maximum — runs strictly after the join. The merge is
-// therefore deterministic and placements are byte-identical to the
-// sequential fill; the only observable difference is in the reuse-memo
-// hit/miss counters, which count every cached cell once here rather than
-// per ρ-level visit.
+// Pass 1 sizes each slot's candOcc range from OccupiedCount so the buffers
+// grow at most once per attempt, to the exact total; pass 2 fills them in
+// place. A single appending pass allocates more across a whole run, because
+// the buffers then grow by doubling from empty in every fresh engine.
 func (e *engine) evalCands(u, v int) {
 	if e.candsEval {
 		return
@@ -809,33 +805,9 @@ func (e *engine) evalCands(u, v int) {
 	} else {
 		e.candDist, e.candLoad = make([]int32, total), make([]int32, total)
 	}
-	workers := 1
-	if total >= distParallelMin || testEvalWorkers > 0 {
-		workers = evalWorkerCount(len(e.cands))
-	}
 	e.bindRows(u, v)
-	if workers == 1 {
-		e.fillCandRange(u, v, 0, 1) // direct call: no closure on the hot path
-	} else {
-		runShards(workers, func(shard int) { e.fillCandRange(u, v, shard, workers) })
-	}
 	maxAll := int32(-1)
 	for i := range e.cands {
-		if c := &e.cands[i]; c.freeOff < 0 && c.maxDist > maxAll {
-			maxAll = c.maxDist
-		}
-	}
-	e.maxDistAll = maxAll
-	e.mets.memoMisses += int64(total)
-}
-
-// fillCandRange evaluates the strided shard of full candidates whose index ≡
-// shard (mod stride): their occupied offsets, per-cell reuse distances and
-// loads, and per-slot maxDist. Shards touch disjoint candOcc/candDist/
-// candLoad ranges (sized by evalCands pass 1), so concurrent shards never
-// overlap a write.
-func (e *engine) fillCandRange(u, v, shard, stride int) {
-	for i := shard; i < len(e.cands); i += stride {
 		c := &e.cands[i]
 		if c.freeOff >= 0 {
 			continue
@@ -854,7 +826,12 @@ func (e *engine) fillCandRange(u, v, shard, stride int) {
 			}
 		}
 		c.maxDist = maxDist
+		if maxDist > maxAll {
+			maxAll = maxDist
+		}
 	}
+	e.maxDistAll = maxAll
+	e.mets.memoMisses += int64(total)
 }
 
 // rcFind answers one finite-ρ level of the descent from the evaluated

@@ -1,9 +1,9 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -318,6 +318,9 @@ func TestJobsPagination(t *testing.T) {
 	}
 }
 
+// TestV1AliasesAndDeprecationHeaders pins the one-route-per-endpoint
+// surface: /v1 paths serve without a Deprecation header, and the retired
+// unversioned aliases answer with the not_found envelope.
 func TestV1AliasesAndDeprecationHeaders(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4})
 
@@ -339,15 +342,25 @@ func TestV1AliasesAndDeprecationHeaders(t *testing.T) {
 		t.Fatalf("/v1/healthz carries Deprecation: %q", d)
 	}
 
-	bare := get("/healthz")
-	if bare.StatusCode != http.StatusOK {
-		t.Fatalf("GET /healthz: status %d", bare.StatusCode)
+	// The unversioned aliases are gone: a bare path is an unknown route and
+	// gets the same JSON 404 envelope, with no deprecation headers.
+	var bare errorBody
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d := bare.Header.Get("Deprecation"); d != "true" {
-		t.Fatalf("unversioned alias Deprecation = %q, want \"true\"", d)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /healthz: status %d, want 404", resp.StatusCode)
 	}
-	if l := bare.Header.Get("Link"); !strings.Contains(l, "/v1/healthz") || !strings.Contains(l, "successor-version") {
-		t.Fatalf("unversioned alias Link = %q, want successor-version pointer", l)
+	if d := resp.Header.Get("Deprecation"); d != "" {
+		t.Fatalf("/healthz carries Deprecation: %q", d)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&bare); err != nil {
+		t.Fatalf("GET /healthz: decode envelope: %v", err)
+	}
+	if bare.Error.Code != codeNotFound {
+		t.Fatalf("GET /healthz: code %q, want %q", bare.Error.Code, codeNotFound)
 	}
 
 	// Unknown paths get the JSON envelope, not the mux's plain-text 404.

@@ -161,14 +161,17 @@ func (s *Server) canonicalParams(nw *netEntry, kind string, raw json.RawMessage)
 		if p.Flows == 0 {
 			p.Flows = 30
 		}
-		if p.Flows < 1 {
-			return nil, fmt.Errorf("flows must be positive")
+		if p.Flows < 1 || p.Flows > wsan.MaxWorkloadFlows {
+			return nil, fmt.Errorf("flows must be in [1, %d]", wsan.MaxWorkloadFlows)
 		}
 		if p.MaxPeriodExp == 0 && p.MinPeriodExp == 0 {
 			p.MaxPeriodExp = 2
 		}
 		if p.MaxPeriodExp < p.MinPeriodExp {
 			return nil, fmt.Errorf("maxPeriodExp %d < minPeriodExp %d", p.MaxPeriodExp, p.MinPeriodExp)
+		}
+		if p.MinPeriodExp < wsan.MinPeriodExp || p.MaxPeriodExp > wsan.MaxPeriodExp {
+			return nil, fmt.Errorf("period exponents must be in [%d, %d]", wsan.MinPeriodExp, wsan.MaxPeriodExp)
 		}
 		if p.Traffic == "" {
 			p.Traffic = "p2p"
@@ -320,8 +323,9 @@ func (s *Server) canonicalParams(nw *netEntry, kind string, raw json.RawMessage)
 		if p.Flows == 0 {
 			p.Flows = 100
 		}
-		if p.Flows < 1 {
-			return nil, fmt.Errorf("flows must be positive")
+		// The soak draws a candidate pool of twice its active flows.
+		if p.Flows < 1 || p.Flows > wsan.MaxWorkloadFlows/2 {
+			return nil, fmt.Errorf("flows must be in [1, %d]", wsan.MaxWorkloadFlows/2)
 		}
 		if p.Channels == 0 {
 			p.Channels = len(nw.Channels)

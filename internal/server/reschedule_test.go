@@ -18,7 +18,7 @@ import (
 // fetchPart downloads one artifact part's exact bytes.
 func fetchPart(t *testing.T, ts *httptest.Server, id, part string) []byte {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/artifacts/" + id + "/" + part)
+	resp, err := http.Get(ts.URL + "/v1/artifacts/" + id + "/" + part)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestQueueFullRetryAfter(t *testing.T) {
 	// 1 running + 2 queued jobs on 1 worker → 3 seconds. (The running job
 	// counts: before the fix the estimate ignored busy workers and said 2.)
 	body, _ := json.Marshal(map[string]any{"kind": KindSimulate, "params": long(14)})
-	resp, err := http.Post(ts.URL+"/networks/plant/jobs", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/networks/plant/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,8 +292,8 @@ func TestQueueFullRetryAfter(t *testing.T) {
 	}
 
 	for _, v := range queued {
-		doJSON(t, http.MethodDelete, ts.URL+"/jobs/"+v.ID, nil, nil)
+		doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+v.ID, nil, nil)
 	}
-	doJSON(t, http.MethodDelete, ts.URL+"/jobs/"+v1.ID, nil, nil)
+	doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+v1.ID, nil, nil)
 	waitState(t, ts, v1.ID, StateCancelled, 10*time.Second)
 }

@@ -366,10 +366,8 @@ func (s *Server) cacheEviction(ev storage.Eviction) {
 	s.bus.Publish(EventCacheEvict, "", "", ev)
 }
 
-// buildMux assembles the HTTP surface. Every route is mounted twice: under
-// /v1 (the versioned API clients should target) and at its original
-// unversioned path, kept as a deprecated alias that answers with a
-// "Deprecation: true" header.
+// buildMux assembles the HTTP surface. Every route is mounted once, under
+// /v1; unversioned paths fall through to the catch-all 404 envelope.
 func (s *Server) buildMux(enablePprof bool) *http.ServeMux {
 	mux := http.NewServeMux()
 	routes := []struct {
@@ -393,8 +391,7 @@ func (s *Server) buildMux(enablePprof bool) *http.ServeMux {
 		{"GET", "/artifacts/{id}/{part}", "artifacts_part", s.handleGetArtifactPart},
 	}
 	for _, rt := range routes {
-		s.handle(mux, rt.method+" /v1"+rt.path, rt.name, rt.h, false)
-		s.handle(mux, rt.method+" "+rt.path, rt.name, rt.h, true)
+		s.handle(mux, rt.method+" /v1"+rt.path, rt.name, rt.h)
 	}
 	if enablePprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
@@ -414,16 +411,10 @@ func (s *Server) buildMux(enablePprof bool) *http.ServeMux {
 
 // handle registers a route with per-endpoint request counting and latency
 // histograms ("server.http.<name>.requests" / "server.http.<name>_seconds").
-// deprecated marks the unversioned alias of a /v1 route: it serves
-// identically but advertises the deprecation per draft-ietf-httpapi-deprecation.
-func (s *Server) handle(mux *http.ServeMux, pattern, name string, h http.HandlerFunc, deprecated bool) {
+func (s *Server) handle(mux *http.ServeMux, pattern, name string, h http.HandlerFunc) {
 	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		s.mets.Count("server.http."+name+".requests", 1)
 		defer obs.Timed(s.mets, "server.http."+name+"_seconds")()
-		if deprecated {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", `</v1`+r.URL.Path+`>; rel="successor-version"`)
-		}
 		h(w, r)
 	})
 }

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -104,7 +106,7 @@ func createTestNetwork(t *testing.T, ts *httptest.Server, name string) {
 		t.Fatal(err)
 	}
 	var view NetworkView
-	code := doJSON(t, http.MethodPost, ts.URL+"/networks", map[string]any{
+	code := doJSON(t, http.MethodPost, ts.URL+"/v1/networks", map[string]any{
 		"name":     name,
 		"testbed":  json.RawMessage(buf.Bytes()),
 		"channels": 4,
@@ -121,7 +123,7 @@ func createTestNetwork(t *testing.T, ts *httptest.Server, name string) {
 func submit(t *testing.T, ts *httptest.Server, network, kind string, params map[string]any) (JobView, int) {
 	t.Helper()
 	var v JobView
-	code := doJSON(t, http.MethodPost, ts.URL+"/networks/"+network+"/jobs",
+	code := doJSON(t, http.MethodPost, ts.URL+"/v1/networks/"+network+"/jobs",
 		map[string]any{"kind": kind, "params": params}, &v)
 	return v, code
 }
@@ -132,7 +134,7 @@ func poll(t *testing.T, ts *httptest.Server, id string, timeout time.Duration) J
 	deadline := time.Now().Add(timeout)
 	for {
 		var v JobView
-		if code := doJSON(t, http.MethodGet, ts.URL+"/jobs/"+id, nil, &v); code != http.StatusOK {
+		if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+id, nil, &v); code != http.StatusOK {
 			t.Fatalf("poll %s: status %d", id, code)
 		}
 		if v.State != StateQueued && v.State != StateRunning {
@@ -151,7 +153,7 @@ func waitState(t *testing.T, ts *httptest.Server, id string, want JobState, time
 	deadline := time.Now().Add(timeout)
 	for {
 		var v JobView
-		doJSON(t, http.MethodGet, ts.URL+"/jobs/"+id, nil, &v)
+		doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+id, nil, &v)
 		if v.State == want {
 			return v
 		}
@@ -190,7 +192,7 @@ func TestEndToEnd(t *testing.T) {
 		ID    string                     `json:"id"`
 		Parts map[string]json.RawMessage `json:"parts"`
 	}
-	if code := doJSON(t, http.MethodGet, ts.URL+"/artifacts/"+done.Artifact, nil, &bundle); code != http.StatusOK {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/artifacts/"+done.Artifact, nil, &bundle); code != http.StatusOK {
 		t.Fatalf("get artifact: status %d", code)
 	}
 	for _, part := range []string{"survey.json", "workload.json", "schedule.json", "summary.json"} {
@@ -214,7 +216,7 @@ func TestEndToEnd(t *testing.T) {
 	}
 	// The raw part endpoint serves the stored bytes untouched — the same
 	// bytes `wsansim gen-schedule` would have written to schedule.json.
-	resp, err := http.Get(ts.URL + "/artifacts/" + done.Artifact + "/schedule.json")
+	resp, err := http.Get(ts.URL + "/v1/artifacts/" + done.Artifact + "/schedule.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +265,7 @@ func TestEndToEnd(t *testing.T) {
 	if sdone.State != StateDone {
 		t.Fatalf("simulate finished %v (%s)", sdone.State, sdone.Error)
 	}
-	resp, err = http.Get(ts.URL + "/artifacts/" + sdone.Artifact + "/report.json")
+	resp, err = http.Get(ts.URL + "/v1/artifacts/" + sdone.Artifact + "/report.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +285,7 @@ func TestEndToEnd(t *testing.T) {
 	var snap struct {
 		Counters map[string]int64 `json:"counters"`
 	}
-	if code := doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, &snap); code != http.StatusOK {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/metrics", nil, &snap); code != http.StatusOK {
 		t.Fatalf("metrics: status %d", code)
 	}
 	if snap.Counters["server.jobs.completed"] < 2 {
@@ -310,7 +312,7 @@ func TestCancelRunningJob(t *testing.T) {
 
 	start := time.Now()
 	var cv JobView
-	if code := doJSON(t, http.MethodDelete, ts.URL+"/jobs/"+v.ID, nil, &cv); code != http.StatusOK {
+	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+v.ID, nil, &cv); code != http.StatusOK {
 		t.Fatalf("cancel: status %d", code)
 	}
 	fin := waitState(t, ts, v.ID, StateCancelled, 10*time.Second)
@@ -321,7 +323,7 @@ func TestCancelRunningJob(t *testing.T) {
 		t.Fatal("cancelled job should carry the cancellation error")
 	}
 	// A finished job cannot be cancelled again.
-	if code := doJSON(t, http.MethodDelete, ts.URL+"/jobs/"+v.ID, nil, nil); code != http.StatusConflict {
+	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+v.ID, nil, nil); code != http.StatusConflict {
 		t.Fatalf("re-cancel: status %d, want 409", code)
 	}
 }
@@ -352,13 +354,13 @@ func TestBackpressure(t *testing.T) {
 		t.Fatalf("job 3: status %d, want 429", code)
 	}
 	// Cancel the queued job: it must finish without ever running.
-	if code := doJSON(t, http.MethodDelete, ts.URL+"/jobs/"+v2.ID, nil, nil); code != http.StatusOK {
+	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+v2.ID, nil, nil); code != http.StatusOK {
 		t.Fatalf("cancel queued: status %d", code)
 	}
 	if v := waitState(t, ts, v2.ID, StateCancelled, 5*time.Second); v.Started != nil {
 		t.Fatalf("queued job should never start, got %+v", v)
 	}
-	doJSON(t, http.MethodDelete, ts.URL+"/jobs/"+v1.ID, nil, nil)
+	doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+v1.ID, nil, nil)
 	waitState(t, ts, v1.ID, StateCancelled, 10*time.Second)
 }
 
@@ -414,27 +416,27 @@ func TestValidationAndNotFound(t *testing.T) {
 			return c
 		}, http.StatusBadRequest},
 		{"unknown job", func() int {
-			return doJSON(t, http.MethodGet, ts.URL+"/jobs/j999", nil, nil)
+			return doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/j999", nil, nil)
 		}, http.StatusNotFound},
 		{"unknown artifact", func() int {
-			return doJSON(t, http.MethodGet, ts.URL+"/artifacts/nope", nil, nil)
+			return doJSON(t, http.MethodGet, ts.URL+"/v1/artifacts/nope", nil, nil)
 		}, http.StatusNotFound},
 		{"duplicate network", func() int {
 			var buf bytes.Buffer
 			_ = wsan.SaveTestbed(testTestbed(t), &buf)
-			return doJSON(t, http.MethodPost, ts.URL+"/networks", map[string]any{
+			return doJSON(t, http.MethodPost, ts.URL+"/v1/networks", map[string]any{
 				"name": "plant", "testbed": json.RawMessage(buf.Bytes()),
 			}, nil)
 		}, http.StatusConflict},
 		{"network without topology", func() int {
-			return doJSON(t, http.MethodPost, ts.URL+"/networks", map[string]any{
+			return doJSON(t, http.MethodPost, ts.URL+"/v1/networks", map[string]any{
 				"name": "empty",
 			}, nil)
 		}, http.StatusBadRequest},
 		{"preset and testbed together", func() int {
 			var buf bytes.Buffer
 			_ = wsan.SaveTestbed(testTestbed(t), &buf)
-			return doJSON(t, http.MethodPost, ts.URL+"/networks", map[string]any{
+			return doJSON(t, http.MethodPost, ts.URL+"/v1/networks", map[string]any{
 				"name": "both", "preset": "wustl", "testbed": json.RawMessage(buf.Bytes()),
 			}, nil)
 		}, http.StatusBadRequest},
@@ -455,26 +457,26 @@ func TestNetworkLifecycle(t *testing.T) {
 	var list struct {
 		Networks []NetworkView `json:"networks"`
 	}
-	if code := doJSON(t, http.MethodGet, ts.URL+"/networks", nil, &list); code != http.StatusOK {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/networks", nil, &list); code != http.StatusOK {
 		t.Fatalf("list: status %d", code)
 	}
 	if len(list.Networks) != 2 || list.Networks[0].Name != "a" || list.Networks[1].Name != "b" {
 		t.Fatalf("list = %+v", list.Networks)
 	}
 	var view NetworkView
-	if code := doJSON(t, http.MethodGet, ts.URL+"/networks/a", nil, &view); code != http.StatusOK {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/networks/a", nil, &view); code != http.StatusOK {
 		t.Fatalf("get: status %d", code)
 	}
 	if view.ReuseDiameter < 1 || view.CommEdges == 0 || len(view.AccessPoints) != 2 {
 		t.Fatalf("view = %+v", view)
 	}
-	if code := doJSON(t, http.MethodDelete, ts.URL+"/networks/a", nil, nil); code != http.StatusNoContent {
+	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/networks/a", nil, nil); code != http.StatusNoContent {
 		t.Fatalf("delete: status %d", code)
 	}
-	if code := doJSON(t, http.MethodGet, ts.URL+"/networks/a", nil, nil); code != http.StatusNotFound {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/networks/a", nil, nil); code != http.StatusNotFound {
 		t.Fatalf("get after delete: status %d", code)
 	}
-	if code := doJSON(t, http.MethodDelete, ts.URL+"/networks/a", nil, nil); code != http.StatusNotFound {
+	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/networks/a", nil, nil); code != http.StatusNotFound {
 		t.Fatalf("double delete: status %d", code)
 	}
 }
@@ -495,6 +497,65 @@ func TestCreateNetworkNodeLimit(t *testing.T) {
 	}, &env)
 	if code != http.StatusRequestEntityTooLarge || env.Error.Code != codeInvalidRequest {
 		t.Fatalf("status %d code %q, want 413 %q", code, env.Error.Code, codeInvalidRequest)
+	}
+}
+
+// TestJobParamLimits: schedule and soak jobs outside the workload limits are
+// refused with 400 before they are queued, and the daemon keeps serving.
+func TestJobParamLimits(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 2})
+	createTestNetwork(t, ts, "plant")
+	for _, tc := range []struct {
+		kind   string
+		params map[string]any
+	}{
+		{KindSchedule, map[string]any{"minPeriodExp": 30, "maxPeriodExp": 30, "flows": 2}},
+		{KindSchedule, map[string]any{"maxPeriodExp": wsan.MaxPeriodExp + 1}},
+		{KindSchedule, map[string]any{"minPeriodExp": wsan.MinPeriodExp - 1}},
+		{KindSchedule, map[string]any{"flows": wsan.MaxWorkloadFlows + 1}},
+		{KindSoak, map[string]any{"flows": wsan.MaxWorkloadFlows/2 + 1}},
+		{KindSoak, map[string]any{"flows": 1 << 62}},
+	} {
+		var env errorBody
+		code := doJSON(t, http.MethodPost, ts.URL+"/v1/networks/plant/jobs",
+			map[string]any{"kind": tc.kind, "params": tc.params}, &env)
+		if code != http.StatusBadRequest || env.Error.Code != codeInvalidRequest {
+			t.Errorf("%s %v: status %d code %q, want 400 %q", tc.kind, tc.params, code, env.Error.Code, codeInvalidRequest)
+		}
+	}
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/healthz", nil, nil); code != http.StatusOK {
+		t.Fatalf("healthz after refusals: %d", code)
+	}
+}
+
+// TestHugePeriodScheduleInSubprocess replays the admission crash: a wustl
+// network and a schedule job with 2^30 s periods. Before the limits the job
+// was accepted and schedule.New asked for hundreds of gigabytes, a fatal
+// out-of-memory that killed the whole daemon, so the repro runs in a child
+// process. The child now gets a 400 and keeps serving.
+func TestHugePeriodScheduleInSubprocess(t *testing.T) {
+	if os.Getenv("SERVER_HUGE_PERIOD_CHILD") == "1" {
+		_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 2})
+		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/networks",
+			map[string]any{"name": "w", "preset": "wustl"}, nil); code != http.StatusCreated {
+			t.Fatalf("register wustl: status %d", code)
+		}
+		v, code := submit(t, ts, "w", KindSchedule,
+			map[string]any{"minPeriodExp": 30, "maxPeriodExp": 30, "flows": 2})
+		if code != http.StatusBadRequest {
+			done := poll(t, ts, v.ID, time.Minute)
+			t.Fatalf("2^30 s schedule job accepted (status %d), ended %v", code, done.State)
+		}
+		if code := doJSON(t, http.MethodGet, ts.URL+"/v1/healthz", nil, nil); code != http.StatusOK {
+			t.Fatalf("healthz after the refusal: %d", code)
+		}
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestHugePeriodScheduleInSubprocess$", "-test.count=1")
+	cmd.Env = append(os.Environ(), "SERVER_HUGE_PERIOD_CHILD=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("child daemon failed: %v\n%s", err, out)
 	}
 }
 
@@ -535,7 +596,7 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Fatalf("submit while draining: status %d, want 503", code)
 	}
 	var health map[string]any
-	if code := doJSON(t, http.MethodGet, ts.URL+"/healthz", nil, &health); code != http.StatusServiceUnavailable {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/healthz", nil, &health); code != http.StatusServiceUnavailable {
 		t.Fatalf("healthz while draining: status %d, want 503", code)
 	}
 }
@@ -565,7 +626,7 @@ func TestConvergeAndManageJobs(t *testing.T) {
 	if cdone.State != StateDone {
 		t.Fatalf("converge finished %v (%s)", cdone.State, cdone.Error)
 	}
-	resp, err := http.Get(ts.URL + "/artifacts/" + cdone.Artifact + "/report.json")
+	resp, err := http.Get(ts.URL + "/v1/artifacts/" + cdone.Artifact + "/report.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +642,7 @@ func TestConvergeAndManageJobs(t *testing.T) {
 	if mdone.State != StateDone {
 		t.Fatalf("manage finished %v (%s)", mdone.State, mdone.Error)
 	}
-	resp, err = http.Get(ts.URL + "/artifacts/" + mdone.Artifact + "/schedule.json")
+	resp, err = http.Get(ts.URL + "/v1/artifacts/" + mdone.Artifact + "/schedule.json")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,6 +74,8 @@ type (
 	TestbedConfig = topology.GenConfig
 	// NodeLimitError reports a testbed with more than MaxTestbedNodes nodes.
 	NodeLimitError = topology.NodeLimitError
+	// GridLimitError reports a schedule grid above MaxScheduleCells cells.
+	GridLimitError = schedule.GridLimitError
 	// Flow is one periodic end-to-end real-time flow.
 	Flow = flow.Flow
 	// Link is a directed hop.
@@ -170,6 +172,17 @@ const NumChannels = topology.NumChannels
 // MaxTestbedNodes is the largest testbed GenerateTestbed, CustomTestbed and
 // LoadTestbed build; past it they return a *NodeLimitError.
 const MaxTestbedNodes = topology.MaxNodes
+
+// Workload and schedule limits. GenerateWorkload draws at most
+// MaxWorkloadFlows flows with period exponents in [MinPeriodExp,
+// MaxPeriodExp]; a schedule grid (built or loaded) holds at most
+// MaxScheduleCells slots × offsets, past which a *GridLimitError is returned.
+const (
+	MaxWorkloadFlows = flow.MaxFlows
+	MinPeriodExp     = flow.MinPeriodExp
+	MaxPeriodExp     = flow.MaxPeriodExp
+	MaxScheduleCells = schedule.MaxCells
+)
 
 // GenerateIndriya synthesizes the 80-node Indriya-like testbed.
 func GenerateIndriya(seed int64) (*Testbed, error) {
