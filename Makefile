@@ -25,9 +25,10 @@ microbench:
 # pools, and the replay oracle asserting zero schedule drift throughout.
 # The server half includes the multi-worker queue sweep (four soak jobs plus
 # simulate jobs on a Workers=4 pool, per-job oracle digests compared against
-# a direct in-process run), and the scheduler half pins the indexed NR/RA/RC
-# placements byte-identical to the pre-index reference scans. `wsansim soak`
-# runs the same harness at evaluation scale (500 flows).
+# a direct in-process run), and the scheduler half runs the index-vs-reference
+# oracle: the indexed NR/RA/RC placements must be byte-identical to the
+# test-only reference formulation on testbed grids and sweep-shaped draws.
+# `wsansim soak` runs the same harness at evaluation scale (500 flows).
 soak-smoke:
 	$(GO) test -race -count=1 -run 'TestSoak|TestScanVsIndexIdentical' \
 		./internal/soak/ ./internal/server/ ./internal/scheduler/

@@ -99,11 +99,6 @@ type Schedule struct {
 	// changes they did not make themselves, e.g. the delta ladder's removals
 	// and rollbacks between placements on a shared engine.
 	ver uint64
-	// busyCnt[node] is the popcount of the node's busy bitset — the total
-	// number of slots it sends or receives in — maintained on every
-	// markBusy/clearBusy. NodeBusyCount serves it in O(1); the schedulers
-	// use it as a cheap upper bound on any pair's busy-union count.
-	busyCnt []int32
 	// pairs caches the PairCount handles by normalized (u,v) key so repeated
 	// Pair calls share one index per node pair.
 	pairs map[uint64]*PairCount
@@ -207,7 +202,6 @@ func New(numSlots, numOffsets, numNodes int) (*Schedule, error) {
 		slotFull:   make([]uint64, words),
 		cells:      make([][]Tx, numSlots*numOffsets),
 		nodeVer:    nodeVer,
-		busyCnt:    make([]int32, numNodes),
 	}, nil
 }
 
@@ -258,12 +252,6 @@ func (s *Schedule) Reset(numSlots, numOffsets, numNodes int) error {
 	}
 	for i := range s.nodeVer {
 		s.nodeVer[i]++ // move every stamp past any cache built before the Reset
-	}
-	if cap(s.busyCnt) < numNodes {
-		s.busyCnt = make([]int32, numNodes)
-	} else {
-		s.busyCnt = s.busyCnt[:numNodes]
-		clear(s.busyCnt)
 	}
 	s.ver++
 	s.numSlots, s.numOffsets, s.numNodes = numSlots, numOffsets, numNodes
@@ -327,25 +315,12 @@ func (s *Schedule) NodeBusy(node, slot int) bool {
 func (s *Schedule) markBusy(node, slot int) {
 	s.nodeBusy[node*s.words+slot/64] |= 1 << uint(slot%64)
 	s.nodeVer[node]++
-	s.busyCnt[node]++
 }
 
 // Version returns the schedule's mutation count: every Place, Remove, and
 // Reset bumps it once. Two equal Version readings bracket a span with no
 // grid changes, which lets callers keep derived caches alive across calls.
 func (s *Schedule) Version() uint64 { return s.ver }
-
-// NodeBusyCount returns the number of slots in which the node sends or
-// receives — the popcount of its busy bitset, served from an incrementally
-// maintained counter. For any pair (u, v) and any slot range,
-// BusyUnionCount(u, v, from, to) ≤ NodeBusyCount(u) + NodeBusyCount(v), which
-// the schedulers use as a constant-time conflict-sum certificate.
-func (s *Schedule) NodeBusyCount(node int) int {
-	if node < 0 || node >= s.numNodes {
-		return 0
-	}
-	return int(s.busyCnt[node])
-}
 
 // Cell returns the transmissions already assigned to (slot, offset). The
 // slice is owned by the schedule; callers must not modify it.
@@ -448,7 +423,6 @@ func (s *Schedule) Remove(tx Tx) error {
 func (s *Schedule) clearBusy(node, slot int) {
 	s.nodeBusy[node*s.words+slot/64] &^= 1 << uint(slot%64)
 	s.nodeVer[node]++
-	s.busyCnt[node]--
 }
 
 // BusyUnionCount returns the number of slots in the inclusive range

@@ -121,6 +121,7 @@ func ApplyDeltaBatch(sched *schedule.Schedule, flows []*flow.Flow, ops []BatchOp
 			}
 			res, err := d.place(f, work, mark)
 			if err != nil {
+				d.rollback()
 				return nil, fmt.Errorf("scheduler: batch op %d: %w", i, err)
 			}
 			if !res.Schedulable {
@@ -159,6 +160,7 @@ func ApplyDeltaBatch(sched *schedule.Schedule, flows []*flow.Flow, ops []BatchOp
 			d.removeFlow(op.FlowID)
 			res, err := d.place(&moved, others, mark)
 			if err != nil {
+				d.rollback()
 				return nil, fmt.Errorf("scheduler: batch op %d: %w", i, err)
 			}
 			if !res.Schedulable {

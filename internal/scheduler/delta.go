@@ -132,9 +132,13 @@ func newDeltaOp(sched *schedule.Schedule, cfg Config) *deltaOp {
 
 // placeFlow places every instance of f against the current grid (everything
 // already placed is pinned — the engine never moves an existing
-// transmission), journaling the placements. On a deadline miss the partial
-// placements are undone and false is returned.
+// transmission), journaling the placements. On a deadline miss or an engine
+// fault the partial placements are undone and false is returned; place
+// reports a fault as the operation's error.
 func (d *deltaOp) placeFlow(f *flow.Flow) bool {
+	if d.eng.err != nil {
+		return false
+	}
 	base := d.sched.Len()
 	hyper := d.sched.NumSlots()
 	for inst := 0; inst < hyper/f.Period; inst++ {
@@ -373,9 +377,23 @@ func RerouteFlowDelta(sched *schedule.Schedule, flows []*flow.Flow, flowID int, 
 // (plus any journaled mutations already performed, e.g. a reroute's
 // removal). mark is the journal length at the operation's start: rung 3
 // rolls back to it before rescheduling from scratch, so inside a batch only
-// this operation's mutations are undone. On total infeasibility the journal
-// is rolled back to mark and the schedule is left as it was at mark.
+// this operation's mutations are undone. On total infeasibility, and on an
+// engine fault at any rung, the journal is rolled back to mark and the
+// schedule is left as it was at mark.
 func (d *deltaOp) place(f *flow.Flow, others []*flow.Flow, mark int) (*DeltaResult, error) {
+	res, err := d.ladder(f, others, mark)
+	if err == nil {
+		err = d.eng.err
+	}
+	if err != nil {
+		d.rollbackTo(mark)
+		return nil, err
+	}
+	return res, nil
+}
+
+// ladder descends the repair rungs for place.
+func (d *deltaOp) ladder(f *flow.Flow, others []*flow.Flow, mark int) (*DeltaResult, error) {
 	res := &DeltaResult{FailedFlow: -1}
 	if d.placeFlow(f) {
 		return d.finish(res), nil
@@ -600,6 +618,9 @@ func (d *deltaOp) fullReschedule(mutated []*flow.Flow, res *DeltaResult) (*Delta
 	for _, g := range mutated {
 		for inst := 0; inst < hyper/g.Period; inst++ {
 			if !eng.scheduleInstance(g, inst) {
+				if eng.err != nil {
+					return nil, fmt.Errorf("scheduler: full reschedule: %w", eng.err)
+				}
 				res.Schedulable = false
 				res.FailedFlow = g.ID
 				return res, nil

@@ -21,7 +21,8 @@ import (
 // is a full reschedule, not an incremental add.
 //
 // On success the schedule is mutated and the result reports the placement;
-// on a deadline miss the schedule is left exactly as it was.
+// on a deadline miss or an engine fault the schedule is left exactly as it
+// was.
 func AddFlow(sched *schedule.Schedule, f *flow.Flow, cfg Config) (*Result, error) {
 	if err := validateDeltaConfig(sched, cfg); err != nil {
 		return nil, err
@@ -43,6 +44,9 @@ func AddFlow(sched *schedule.Schedule, f *flow.Flow, cfg Config) (*Result, error
 	defer func() { d.eng.flushMetrics(time.Since(start)) }()
 	res := &Result{Schedule: sched, LambdaR: d.eng.lambdaR, FailedFlow: -1}
 	res.Schedulable = d.placeFlow(f)
+	if d.eng.err != nil {
+		return nil, d.eng.err
+	}
 	if !res.Schedulable {
 		res.FailedFlow = f.ID
 	}

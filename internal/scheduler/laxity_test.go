@@ -74,25 +74,12 @@ func TestLaxityMatchesBruteForce(t *testing.T) {
 		remaining := len(f.Route)*attempts - seq - 1
 		got := eng.laxity(f, &tx, s, deadline, remaining)
 		want := bruteLaxity(sched, f, tx, s, deadline, attempts)
-		// The index path short-circuits in both directions — a negative
-		// slot/count budget returns early (the conflict sum only lowers it),
-		// and the busy-count certificate proves a pass without the exact sum
-		// — so its magnitude is a bound; the sign is the contract every
-		// placement decision consumes.
-		if (got >= 0) != (want >= 0) {
-			t.Fatalf("iter %d: laxity sign = %d, brute force = %d (s=%d d=%d hop=%d attempts=%d)",
+		// Laxity is exact whenever either side is non-negative; a negative
+		// slot budget returns early (the conflict sum only lowers it), so when
+		// both are negative the sign is the whole contract.
+		if (want >= 0 || got >= 0) && got != want {
+			t.Fatalf("iter %d: laxity = %d, brute force = %d (s=%d d=%d hop=%d attempts=%d)",
 				iter, got, want, s, deadline, hop, attempts)
-		}
-		// The reference scan stays magnitude-exact for non-negative values
-		// (its only shortcut is the negative-budget exit).
-		gotScan := eng.laxityScan(f, &tx, s, deadline, remaining)
-		if want >= 0 || gotScan >= 0 {
-			if gotScan != want {
-				t.Fatalf("iter %d: laxityScan = %d, brute force = %d (s=%d d=%d hop=%d attempts=%d)",
-					iter, gotScan, want, s, deadline, hop, attempts)
-			}
-		} else if gotScan > 0 {
-			t.Fatalf("iter %d: scan positive (%d) but brute force negative (%d)", iter, gotScan, want)
 		}
 	}
 }

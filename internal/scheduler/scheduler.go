@@ -90,10 +90,6 @@ type Config struct {
 	// returned Result.Schedule is the same object. Placement decisions are
 	// identical either way.
 	Scratch *schedule.Schedule
-	// scanPaths routes findSlot and laxity through the pre-index reference
-	// scans instead of the bitset/prefix-sum fast paths. Unexported: only
-	// in-package tests can set it, to prove both paths place identically.
-	scanPaths bool
 }
 
 func (c Config) attempts() int {
@@ -123,7 +119,8 @@ type Result struct {
 // Run schedules the flow set (which must already be in priority order with
 // routes assigned — see flow.AssignDM and routing.Assign) and returns the
 // resulting schedule. A workload that misses a deadline yields
-// Schedulable=false, not an error; errors indicate invalid input.
+// Schedulable=false, not an error; errors indicate invalid input or an
+// engine fault (a proposed placement the schedule refused).
 func Run(flows []*flow.Flow, cfg Config) (*Result, error) {
 	if len(flows) == 0 {
 		return nil, fmt.Errorf("scheduler: empty flow set")
@@ -198,6 +195,9 @@ func Run(flows []*flow.Flow, cfg Config) (*Result, error) {
 	for _, f := range flows {
 		for inst := 0; inst < hyper/f.Period; inst++ {
 			if !eng.scheduleInstance(f, inst) {
+				if eng.err != nil {
+					return nil, eng.err
+				}
 				res.Schedulable = false
 				res.FailedFlow = f.ID
 				return res, nil
@@ -225,6 +225,11 @@ type engine struct {
 	occBuf     []int
 	statsBase  schedule.IndexStats // schedule index stats at engine creation
 
+	// err is the first engine fault: a proposed placement the schedule
+	// refused. scheduleInstance reports it as a failed instance; callers
+	// check err to tell the fault from a deadline miss.
+	err error
+
 	// placedShared records, for the placement the engine just returned,
 	// whether the chosen cell already held a transmission — every placement
 	// path knows this as a byproduct, sparing scheduleInstance a Cell lookup.
@@ -239,16 +244,13 @@ type engine struct {
 	// buildCands); candOcc holds their occupied offsets and candDist and
 	// candLoad run parallel to it with each cell's memoized minimum
 	// reuse-constraint distance and load, all filled by evalCands on the
-	// attempt's first finite-ρ need (candsEval). maxDistAll is the best
-	// cell distance over every full candidate — the highest ρ at which the
-	// descent can select anything other than the free candidate. All
-	// buffers are reused across attempts.
-	cands      []slotCand
-	candOcc    []int
-	candDist   []int32
-	candLoad   []int32
-	candsEval  bool
-	maxDistAll int32
+	// attempt's first finite-ρ need (candsEval). All buffers are reused
+	// across attempts.
+	cands     []slotCand
+	candOcc   []int
+	candDist  []int32
+	candLoad  []int32
+	candsEval bool
 
 	// Warm-start bookkeeping: the (link, deadline) key the candidate cache
 	// was built for, and the slot this pair placed into since the build
@@ -266,17 +268,6 @@ type engine struct {
 	// of warm-adopted.
 	candsVer uint64
 
-	// instD[h] is CountThrough(deadline) of routePairs[h] for the instance
-	// being scheduled — the deadline term of Eq. 1 per hop pair. It is built
-	// once per instance on first use and then maintained incrementally: each
-	// committed placement can only change the busy-union of pairs that share
-	// one of its two endpoints, and only at the placed slot, so the update is
-	// a handful of integer compares per remaining hop instead of a prefix
-	// query per pair per attempt. Valid only while instDOK and within one
-	// scheduleInstance call (the deadline is fixed there).
-	instD   []int32
-	instDOK bool
-
 	// laxDeadSum memoizes the deadline term of the attempt's laxity sums:
 	// Σ CountThrough(deadline) over the remaining route pairs. It is fixed for
 	// one placement attempt (the schedule is unmutated and the deadline and
@@ -284,16 +275,6 @@ type engine struct {
 	// the CountThrough(slot) subtractions. Reset by buildCands.
 	laxDeadSum int
 	laxDeadOK  bool
-
-	// laxBound memoizes a constant-time upper bound on the attempt's conflict
-	// sum: Σ multiplicity × (NodeBusyCount(u) + NodeBusyCount(v)) over the
-	// remaining route pairs. Any pair's busy-union count over any slot range
-	// is at most the two endpoints' total busy-slot counts, so a candidate
-	// with slack ≥ laxBound passes Eq. 1 without touching the prefix index —
-	// the common case in uncongested regions of a sweep. Like laxDeadSum it
-	// is fixed for one placement attempt; reset alongside it.
-	laxBound   int
-	laxBoundOK bool
 }
 
 // slotCand is one cached candidate slot of an RC placement attempt: a slot
@@ -423,10 +404,9 @@ func (e *engine) hopAttempts(f *flow.Flow, hop int) int {
 }
 
 // scheduleInstance places every transmission of one release of flow f,
-// returning false on a deadline miss.
+// returning false on a deadline miss or, with e.err set, an engine fault.
 func (e *engine) scheduleInstance(f *flow.Flow, inst int) bool {
 	e.setFlow(f)
-	e.instDOK = false // the deadline term cache is per instance
 	release := f.Release(inst)
 	deadline := release + f.Deadline - 1 // last usable slot index
 	prevSlot := release - 1
@@ -449,12 +429,12 @@ func (e *engine) scheduleInstance(f *flow.Flow, inst int) bool {
 			tx.Slot, tx.Offset = slot, offset
 			if err := e.sched.Place(tx); err != nil {
 				// The engine only proposes conflict-free placements; a
-				// failure here is a programming error surfaced as a miss.
-				e.mets.deadlineMisses++
+				// refusal is an engine fault, not a deadline miss.
+				e.err = fmt.Errorf("scheduler: %v placed flow %d instance %d: %w",
+					e.cfg.Algorithm, f.ID, inst, err)
 				return false
 			}
 			e.notePlaced(link.From, link.To, slot)
-			e.bumpInstD(f, hop, link, slot)
 			e.mets.placements++
 			if e.placedShared {
 				e.mets.reusePlacements++
@@ -492,28 +472,13 @@ func (e *engine) placeOne(f *flow.Flow, tx *schedule.Tx, earliest, deadline, rem
 // non-increasing and an earlier slot never costs schedulability — and, among
 // placements tied on that slot, the most permissive (highest-ρ) one.
 //
-// The index path resolves the whole descent from the candidate cache built
-// once per attempt (buildCands, evaluated on first finite-ρ need by
-// evalCands). Two regimes shortcut the level-by-level loop without changing
-// any placement relative to placeRCRef:
-//
-//   - when even the earliest schedulable slot's deadline budget is negative,
-//     no level can pass the laxity test (the conflict sum only subtracts
-//     further), so placeRCFallback scans directly to the slot the descent's
-//     fallback rule would keep and stops there;
-//   - levels above the best candidate reuse distance (maxDistAll) cannot
-//     select any full slot, so the loop starts at min(λ_R, maxDistAll) with
-//     the skipped levels resolved arithmetically.
-//
-// The skipped-level arithmetic keeps the scheduling counters exactly as the
-// full loop would have; the all-fail scan keeps placements, fallbacks, and
-// deadline misses exact but advances the per-level counters (ρ steps, laxity
-// failures, slots examined, memo traffic) as one exhausted descent rather
-// than replaying every level — see placeRCFallback.
+// The whole descent is resolved from the candidate cache built once per
+// attempt (buildCands, or adopted by warmCands) and evaluated on the first
+// finite-ρ need (evalCands); each level is then a pass of integer compares
+// (rcFind), and a slot whose laxity failed is memoized so later levels that
+// re-find it skip the test. The reference formulation — a full slot scan
+// and brute-force Eq. 1 per level — is the test oracle in reference_test.go.
 func (e *engine) placeRC(f *flow.Flow, tx *schedule.Tx, earliest, deadline, remaining int) (int, int, bool) {
-	if e.cfg.scanPaths {
-		return e.placeRCRef(f, tx, earliest, deadline, remaining)
-	}
 	u, v := tx.Link.From, tx.Link.To
 	rhoT := e.cfg.RhoT
 	nLevels := 0
@@ -528,18 +493,13 @@ func (e *engine) placeRC(f *flow.Flow, tx *schedule.Tx, earliest, deadline, rema
 		e.mets.rhoSteps += int64(nLevels) // the empty descent still stepped
 		return 0, 0, false
 	}
-	if nLevels > 0 && deadline-s0-remaining < 0 {
-		return e.placeRCFallback(u, v, s0, deadline, nLevels)
-	}
 	if !e.warmCands(u, v, s0, deadline) {
 		e.buildCands(u, v, s0, deadline)
 	}
 	// ρ = ∞ level: at most one candidate — always the last — offers a free
 	// cell, and under least-loaded tie-breaking it wins outright.
 	fbSlot, fbOffset, fbOK, fbShared := 0, 0, false, false
-	freeIdx := -1
 	if c := &e.cands[len(e.cands)-1]; c.freeOff >= 0 {
-		freeIdx = len(e.cands) - 1
 		slot := int(c.slot)
 		if e.laxity(f, tx, slot, deadline, remaining) >= 0 {
 			e.mets.laxityPass++
@@ -558,26 +518,11 @@ func (e *engine) placeRC(f *flow.Flow, tx *schedule.Tx, earliest, deadline, rema
 		}
 		return fbSlot, fbOffset, fbOK
 	}
-	rhoStart := e.lambdaR
+	rho := e.lambdaR
 	if e.cfg.FixedRho {
-		rhoStart = rhoT
+		rho = rhoT
 	}
 	e.evalCands(u, v)
-	rho := rhoStart
-	if int(e.maxDistAll) < rho {
-		// Levels above the best candidate distance select no full slot:
-		// each re-finds the free candidate (already a memoized laxity
-		// failure, tied on its own slot) or nothing at all.
-		stop := int(e.maxDistAll)
-		if stop < rhoT-1 {
-			stop = rhoT - 1
-		}
-		e.mets.rhoSteps += int64(rho - stop)
-		if freeIdx >= 0 {
-			e.mets.laxityFail += int64(rho - stop)
-		}
-		rho = stop
-	}
 	for ; rho >= rhoT; rho-- {
 		e.mets.rhoSteps++
 		ci, offset, ok := e.rcFind(rho)
@@ -610,23 +555,27 @@ func (e *engine) placeRC(f *flow.Flow, tx *schedule.Tx, earliest, deadline, rema
 
 // warmCands re-adopts the previous attempt's candidate cache when it is
 // provably identical to what buildCands would produce: same link, same
-// deadline, and exactly one schedule mutation since the build — this pair's
-// own committed placement (a retransmission attempt immediately follows its
-// primary on the same link). That placement made its slot endpoint-busy,
-// removing it from the candidate window, and touched no other slot's
-// occupancy, so the cache's suffix from s0 on — free offsets, occupancy
-// ranges, reuse distances, loads — is byte-for-byte what a cold rebuild
-// would recompute. Only the laxity memos go stale (the grid and the
-// remaining-transmission count both changed), so they are cleared, and
-// maxDistAll is re-reduced over the surviving suffix. An attempt that
-// placed on the cache's free terminal slot invalidates instead: a rebuild
-// would scan fresh slots past it (the drop loop then consumes the whole
-// cache). The suffix counts into slotsExamined as a rebuild would; its
-// cells count as memo hits — their reuse verdicts are served from cache.
+// deadline, exactly one schedule mutation since the build — this pair's own
+// committed placement (a retransmission attempt immediately follows its
+// primary on the same link) — and a window that starts after that
+// placement. The placement made its slot endpoint-busy, removing it from
+// the candidate window, and touched no other slot's occupancy, so the
+// cache's suffix from s0 on — free offsets, occupancy ranges, reuse
+// distances, loads — is byte-for-byte what a cold rebuild would recompute.
+// The s0 guard matters when consecutive flows share a link and a deadline:
+// the next flow's first attempt restarts at its release, before the placed
+// slot, and a suffix taken there would still hold the now endpoint-busy
+// slot. Only the laxity memos go stale (the grid and the
+// remaining-transmission count both changed), so they are cleared. An
+// attempt that placed on the cache's free terminal slot invalidates
+// instead: a rebuild would scan fresh slots past it (the drop loop then
+// consumes the whole cache). The suffix counts into slotsExamined as a
+// rebuild would; its cells count as memo hits — their reuse verdicts are
+// served from cache.
 func (e *engine) warmCands(u, v, s0, deadline int) bool {
 	if !e.candsValid || u != e.candsU || v != e.candsV ||
 		deadline != e.candsDead || e.candsPlaced < 0 ||
-		e.sched.Version() != e.candsVer {
+		s0 <= e.candsPlaced || e.sched.Version() != e.candsVer {
 		return false
 	}
 	k := 0
@@ -645,99 +594,15 @@ func (e *engine) warmCands(u, v, s0, deadline int) bool {
 		e.cands = e.cands[:n]
 	}
 	e.candsPlaced = -1
-	e.laxDeadOK, e.laxBoundOK = false, false
-	maxAll := int32(-1)
+	e.laxDeadOK = false
 	for i := range e.cands {
-		c := &e.cands[i]
-		c.laxFail = false
-		if c.freeOff < 0 && c.maxDist > maxAll {
-			maxAll = c.maxDist
-		}
+		e.cands[i].laxFail = false
 	}
 	e.mets.slotsExamined += int64(len(e.cands))
 	if e.candsEval {
-		e.maxDistAll = maxAll
 		e.mets.memoHits += int64(e.cands[len(e.cands)-1].occHi - e.cands[0].occLo)
 	}
 	return true
-}
-
-// placeRCFallback resolves an RC descent whose laxity test cannot pass at
-// any level: deadline − s0 − remaining is already negative at the earliest
-// schedulable slot, and the conflict sum only subtracts further, so every
-// level's find lands in the fallback accumulator and the loop never returns
-// early. The minimum fallback slot over the whole descent is then the first
-// slot feasible at ρ_t — as ρ drops the chosen slot only moves earlier,
-// never later — and the placement that first reaches it is the most
-// permissive level ρ_hi = min(maxDist, ρ_start), whose offset choice stands
-// on every lower (slot-tied) level. A slot with a free cell is feasible at
-// every level including ρ=∞, so the scan stops at the first slot that is
-// either non-full or reuse-compatible at ρ_t, without materializing the
-// candidate cache the abandoned descent would have built.
-//
-// Placements, the fallback count, and deadline misses are exactly those of
-// the level-by-level loop; the per-level counters (laxity failures, slots
-// examined, memo traffic) are advanced for the one resolving slot only —
-// levels that would have re-found later slots the scan never reaches are
-// not replayed. The laxity-failure ledger credits one failure per level
-// that provably found this slot (all nLevels plus ρ=∞ when it is non-full,
-// the ρ_hi…ρ_t band when reuse was required).
-func (e *engine) placeRCFallback(u, v, s0, deadline, nLevels int) (int, int, bool) {
-	e.mets.rhoSteps += int64(nLevels)
-	rhoT := e.cfg.RhoT
-	rhoStart := e.lambdaR
-	if e.cfg.FixedRho {
-		rhoStart = rhoT
-	}
-	e.bindRows(u, v)
-	for s := s0; s >= 0; s = e.sched.NextSharedFreeSlot(u, v, s+1, deadline) {
-		e.mets.slotsExamined++
-		if !e.sched.SlotFull(s) {
-			e.mets.laxityFail += int64(nLevels) + 1
-			e.mets.laxityFallbacks++
-			e.placedShared = false
-			return s, e.sched.FirstFreeOffset(s), true
-		}
-		e.occBuf = e.sched.OccupiedOffsets(s, e.occBuf[:0])
-		n := len(e.occBuf)
-		if n > cap(e.candDist) {
-			e.candDist, e.candLoad = make([]int32, n), make([]int32, n)
-		}
-		dists, loads := e.candDist[:n], e.candLoad[:n]
-		maxDist := int32(-1)
-		for k, off := range e.occBuf {
-			cell := e.sched.Cell(s, off)
-			d := e.cellMinDist(u, v, cell)
-			dists[k], loads[k] = d, int32(len(cell))
-			if d > maxDist {
-				maxDist = d
-			}
-		}
-		e.mets.memoMisses += int64(n)
-		if int(maxDist) < rhoT {
-			continue // no cell compatible even at ρ_t: no level places here
-		}
-		rhoHi := int(maxDist)
-		if rhoHi > rhoStart {
-			rhoHi = rhoStart
-		}
-		best, bestLoad := -1, int32(0)
-		for k, off := range e.occBuf {
-			if int(dists[k]) < rhoHi {
-				continue
-			}
-			if best < 0 || loads[k] < bestLoad {
-				best, bestLoad = off, loads[k]
-			}
-		}
-		e.mets.laxityFail += int64(rhoHi - rhoT + 1)
-		e.mets.laxityFallbacks++
-		e.placedShared = true
-		return s, best, true
-	}
-	// No free cell and no full slot compatible even at ρ_t anywhere in the
-	// window: no level of the descent found any placement.
-	return 0, 0, false
 }
 
 // buildCands collects, once per RC placement attempt, every candidate slot
@@ -753,7 +618,7 @@ func (e *engine) placeRCFallback(u, v, s0, deadline, nLevels int) (int, int, boo
 func (e *engine) buildCands(u, v, s0, deadline int) {
 	e.cands = e.cands[:0]
 	e.candsEval = false
-	e.laxDeadOK, e.laxBoundOK = false, false
+	e.laxDeadOK = false
 	e.candsU, e.candsV, e.candsDead = u, v, deadline
 	e.candsPlaced, e.candsValid = -1, true
 	e.candsVer = e.sched.Version()
@@ -771,11 +636,10 @@ func (e *engine) buildCands(u, v, s0, deadline int) {
 // evalCands computes, once per RC placement attempt, the reuse state of
 // every cached full candidate slot: its occupied offsets (candOcc), each
 // cell's memoized minimum reuse-constraint distance and load
-// (candDist/candLoad), the slot's best cell distance (maxDist), and the
-// attempt-wide best (maxDistAll). The schedule is unmutated for the
-// attempt's duration, so one evaluation serves every ρ level. The reuse-memo
-// counters count every cached cell once here as a miss, rather than per
-// ρ-level visit.
+// (candDist/candLoad), and the slot's best cell distance (maxDist). The
+// schedule is unmutated for the attempt's duration, so one evaluation serves
+// every ρ level. The reuse-memo counters count every cached cell once here
+// as a miss, rather than per ρ-level visit.
 //
 // Pass 1 sizes each slot's candOcc range from OccupiedCount so the buffers
 // grow at most once per attempt, to the exact total; pass 2 fills them in
@@ -806,7 +670,6 @@ func (e *engine) evalCands(u, v int) {
 		e.candDist, e.candLoad = make([]int32, total), make([]int32, total)
 	}
 	e.bindRows(u, v)
-	maxAll := int32(-1)
 	for i := range e.cands {
 		c := &e.cands[i]
 		if c.freeOff >= 0 {
@@ -826,11 +689,7 @@ func (e *engine) evalCands(u, v int) {
 			}
 		}
 		c.maxDist = maxDist
-		if maxDist > maxAll {
-			maxAll = maxDist
-		}
 	}
-	e.maxDistAll = maxAll
 	e.mets.memoMisses += int64(total)
 }
 
@@ -896,169 +755,41 @@ func (e *engine) cellMinDist(u, v int, cell []schedule.Tx) int32 {
 	return minDist
 }
 
-// placeRCRef is the reference formulation of Algorithm 1's inner loop, used
-// under scanPaths: each ρ level re-runs a full findSlot/laxity pass through
-// the pre-index reference implementations, with no cross-level caching.
-func (e *engine) placeRCRef(f *flow.Flow, tx *schedule.Tx, earliest, deadline, remaining int) (int, int, bool) {
-	rho := rhoInf
-	fbSlot, fbOffset, fbOK, fbShared := 0, 0, false, false
-	for {
-		slot, offset, ok := e.findSlot(tx, earliest, deadline, rho)
-		if ok {
-			if e.laxity(f, tx, slot, deadline, remaining) >= 0 {
-				e.mets.laxityPass++
-				return slot, offset, true
-			}
-			e.mets.laxityFail++
-			if !fbOK || slot < fbSlot {
-				// Strictly earlier only: on a slot tie the earlier-tried
-				// (higher-ρ) placement stands.
-				fbSlot, fbOffset, fbOK, fbShared = slot, offset, true, e.placedShared
-			}
-		}
-		if rho == rhoInf {
-			if e.lambdaR < e.cfg.RhoT {
-				break // reuse impossible on this G_R; keep the ρ=∞ result
-			}
-			if e.cfg.FixedRho {
-				rho = e.cfg.RhoT // ablation: no hop-distance maximization
-			} else {
-				rho = e.lambdaR
-			}
-		} else {
-			rho--
-			if rho < e.cfg.RhoT {
-				break
-			}
-		}
-		e.mets.rhoSteps++
-	}
-	if fbOK {
-		e.mets.laxityFallbacks++
-		e.placedShared = fbShared
-	}
-	return fbSlot, fbOffset, fbOK
-}
-
 // laxity evaluates Eq. 1 for scheduling tx at slot s: the number of slots
 // left before the deadline, minus the slots already known to conflict with
 // each remaining transmission, minus the count of remaining transmissions.
 // The conflict sum is served by the per-pair prefix-popcount handles bound
 // in setFlow — O(1) per remaining transmission instead of a bitset scan.
+// The value is exact whenever it is non-negative; a negative slot budget
+// returns early, since the conflict sum can only lower it further.
 func (e *engine) laxity(f *flow.Flow, tx *schedule.Tx, s, deadline, remaining int) int {
-	if e.cfg.scanPaths {
-		return e.laxityScan(f, tx, s, deadline, remaining)
-	}
 	lax := deadline - s - remaining
 	if lax < 0 {
-		return lax // cheap exit: conflict sum can only decrease it
+		return lax
 	}
 	// Remaining transmissions of the same hop share their conflict pair, so
 	// each pair is queried once and weighted by its multiplicity: the current
 	// hop's leftover attempts, then a full per-hop attempt count per later
-	// hop.
+	// hop. UnionCount(s+1, deadline) = CountThrough(deadline) −
+	// CountThrough(s) per pair; the deadline term is fixed for the attempt,
+	// so laxDeadSum pays it once rather than once per candidate slot.
 	curCnt := e.hopAttempts(f, tx.Hop) - tx.Attempt - 1
-	// Constant-time certificate first: a pair's busy-union count over any
-	// range is at most the endpoints' total busy-slot counts, so slack ≥ the
-	// memoized sum of those bounds proves the laxity non-negative without a
-	// single prefix-index query. The returned magnitude is then a lower bound
-	// on Eq. 1; every caller branches on the sign only.
-	if !e.laxBoundOK {
-		bound := 0
-		if curCnt > 0 {
-			bound = curCnt * (e.sched.NodeBusyCount(tx.Link.From) + e.sched.NodeBusyCount(tx.Link.To))
-		}
-		for h := tx.Hop + 1; h < len(f.Route); h++ {
-			link := f.Route[h]
-			bound += e.hopAttempts(f, h) * (e.sched.NodeBusyCount(link.From) + e.sched.NodeBusyCount(link.To))
-		}
-		e.laxBound, e.laxBoundOK = bound, true
-	}
-	if lax >= e.laxBound {
-		return lax - e.laxBound
-	}
 	if !e.laxDeadOK {
-		if !e.instDOK {
-			e.buildInstD(f, deadline)
-		}
 		sum := 0
 		if curCnt > 0 {
-			sum = curCnt * int(e.instD[tx.Hop])
+			sum = curCnt * e.routePairs[tx.Hop].CountThrough(deadline)
 		}
 		for h := tx.Hop + 1; h < len(f.Route); h++ {
-			sum += e.hopAttempts(f, h) * int(e.instD[h])
+			sum += e.hopAttempts(f, h) * e.routePairs[h].CountThrough(deadline)
 		}
 		e.laxDeadSum, e.laxDeadOK = sum, true
 	}
-	// UnionCount(s+1, deadline) per pair, split so the deadline term above is
-	// paid once per attempt rather than once per candidate slot.
 	conflictSum := e.laxDeadSum
 	if curCnt > 0 {
 		conflictSum -= curCnt * e.routePairs[tx.Hop].CountThrough(s)
 	}
 	for h := tx.Hop + 1; h < len(f.Route); h++ {
 		conflictSum -= e.hopAttempts(f, h) * e.routePairs[h].CountThrough(s)
-	}
-	return lax - conflictSum
-}
-
-// buildInstD snapshots the deadline term of Eq. 1 for the current instance:
-// one CountThrough(deadline) per hop pair. bumpInstD keeps the snapshot
-// exact across the instance's own placements, so later attempts reuse it
-// without further prefix queries.
-func (e *engine) buildInstD(f *flow.Flow, deadline int) {
-	e.instD = e.instD[:0]
-	for h := range f.Route {
-		e.instD = append(e.instD, int32(e.routePairs[h].CountThrough(deadline)))
-	}
-	e.instDOK = true
-}
-
-// bumpInstD folds one committed placement into the instance's deadline-term
-// snapshot. Placing at slot p busies exactly the placed link's two endpoints
-// there, so a pair's busy-union count changes — by at most one, at slot p —
-// only if the pair shares an endpoint with the placed link and the union bit
-// at p was previously clear. The pre-placement union bit is reconstructible
-// after the fact: the placed endpoints were necessarily free at p, and every
-// other node's busy bit is untouched. Hops before the placed one are never
-// queried again within the instance and are skipped.
-func (e *engine) bumpInstD(f *flow.Flow, hop int, placed flow.Link, p int) {
-	if !e.instDOK {
-		return
-	}
-	a, b := placed.From, placed.To
-	for h := hop; h < len(f.Route); h++ {
-		x, y := f.Route[h].From, f.Route[h].To
-		xIn := x == a || x == b
-		yIn := y == a || y == b
-		if !xIn && !yIn {
-			continue
-		}
-		before := (!xIn && e.sched.NodeBusy(x, p)) || (!yIn && e.sched.NodeBusy(y, p))
-		if !before {
-			e.instD[h]++
-		}
-	}
-}
-
-// laxityScan is the pre-index reference implementation of laxity, summing
-// BusyUnionCount word scans per remaining transmission.
-func (e *engine) laxityScan(f *flow.Flow, tx *schedule.Tx, s, deadline, remaining int) int {
-	lax := deadline - s - remaining
-	if lax < 0 {
-		return lax
-	}
-	conflictSum := 0
-	for h := tx.Hop; h < len(f.Route); h++ {
-		cnt := e.hopAttempts(f, h)
-		if h == tx.Hop {
-			cnt -= tx.Attempt + 1 // only the hop's leftover attempts remain
-		}
-		if cnt <= 0 {
-			continue
-		}
-		link := f.Route[h]
-		conflictSum += cnt * e.sched.BusyUnionCount(link.From, link.To, s+1, deadline)
 	}
 	return lax - conflictSum
 }
@@ -1079,12 +810,9 @@ func (e *engine) laxityScan(f *flow.Flow, tx *schedule.Tx, s, deadline, remainin
 // bitsets — full-slot runs cost one popword, not one occupancy scan each
 // (slotsExamined then counts the accepted slot only). Finite-ρ levels
 // iterate via NextSharedFreeSlot, using the slot-full bit to skip the
-// free-offset scan on saturated slots. The scan and index paths choose
-// identical placements (see TestScanVsIndexIdentical).
+// free-offset scan on saturated slots. TestScanVsIndexIdentical pins the
+// placements to the reference scan in reference_test.go.
 func (e *engine) findSlot(tx *schedule.Tx, earliest, deadline int, rho int) (int, int, bool) {
-	if e.cfg.scanPaths {
-		return e.findSlotScan(tx, earliest, deadline, rho)
-	}
 	u, v := tx.Link.From, tx.Link.To
 	if rho == rhoInf {
 		s := e.sched.NextSharedNonFullSlot(u, v, earliest, deadline)
@@ -1127,46 +855,6 @@ func (e *engine) findSlot(tx *schedule.Tx, earliest, deadline int, rho int) (int
 			// most-loaded: free offsets only as fallback
 			e.placedShared = false
 			return s, e.sched.FirstFreeOffset(s), true
-		}
-	}
-	return 0, 0, false
-}
-
-// findSlotScan is the pre-index reference implementation of findSlot: walk
-// every slot, check both endpoints' busy bits, scan every offset.
-func (e *engine) findSlotScan(tx *schedule.Tx, earliest, deadline int, rho int) (int, int, bool) {
-	if earliest < 0 {
-		earliest = 0
-	}
-	if deadline >= e.sched.NumSlots() {
-		deadline = e.sched.NumSlots() - 1
-	}
-	u, v := tx.Link.From, tx.Link.To
-	preferLoaded := e.cfg.Algorithm == RA
-	e.bindRows(u, v)
-	for s := earliest; s <= deadline; s++ {
-		if e.sched.NodeBusy(u, s) || e.sched.NodeBusy(v, s) {
-			continue
-		}
-		e.mets.slotsExamined++
-		best, bestLoad := -1, 0
-		for c := 0; c < e.sched.NumOffsets(); c++ {
-			cell := e.sched.Cell(s, c)
-			if len(cell) > 0 {
-				if rho == rhoInf || !e.reuseCompatible(u, v, cell, rho) {
-					continue
-				}
-			}
-			load := len(cell)
-			if best < 0 ||
-				(preferLoaded && load > bestLoad) ||
-				(!preferLoaded && load < bestLoad) {
-				best, bestLoad = c, load
-			}
-		}
-		if best >= 0 {
-			e.placedShared = bestLoad > 0
-			return s, best, true
 		}
 	}
 	return 0, 0, false

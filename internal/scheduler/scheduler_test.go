@@ -552,3 +552,65 @@ func TestAddFlowPhased(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineFaultIsAnError pins how a placement the schedule refuses is
+// reported: as an error on the engine, never as a deadline miss. The fault is
+// provoked white-box, by planting the kind of stale candidate cache the
+// warm start once adopted across flows — slot 3 listed as free for link 0→1
+// although node 1 is busy there.
+func TestEngineFaultIsAnError(t *testing.T) {
+	_, hop := lineGraph(4)
+	cfg := Config{Algorithm: RC, NumChannels: 2, RhoT: 2, HopGR: hop}
+	f := &flow.Flow{ID: 0, Src: 0, Dst: 1, Period: 8, Deadline: 7}
+	routeThrough(f, 0, 1)
+	setup := func() *schedule.Schedule {
+		sched, err := schedule.New(8, 2, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tx := range []schedule.Tx{
+			{FlowID: 8, Link: flow.Link{From: 0, To: 2}, Slot: 0}, // s0 = 2
+			{FlowID: 9, Link: flow.Link{From: 1, To: 3}, Slot: 1},
+			{FlowID: 10, Link: flow.Link{From: 3, To: 1}, Slot: 3}, // the stale slot
+		} {
+			if err := sched.Place(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return sched
+	}
+	poison := func(e *engine) {
+		e.cands = []slotCand{{slot: 3, freeOff: 0}}
+		e.candsU, e.candsV, e.candsDead = 0, 1, f.Deadline-1
+		e.candsPlaced, e.candsValid, e.candsVer = 0, true, e.sched.Version()
+	}
+
+	sched := setup()
+	eng := newEngine(cfg, sched, hop.Diameter())
+	poison(&eng)
+	if eng.scheduleInstance(f, 0) {
+		t.Fatal("scheduleInstance accepted a refused placement")
+	}
+	if eng.err == nil || eng.mets.deadlineMisses != 0 {
+		t.Fatalf("err = %v, deadline misses = %d; want an engine error and no miss",
+			eng.err, eng.mets.deadlineMisses)
+	}
+
+	// The delta ladder returns the fault and leaves the schedule untouched,
+	// even though its full-reschedule rung could have placed the flow.
+	sched = setup()
+	before := append([]schedule.Tx(nil), sched.Txs()...)
+	d := newDeltaOp(sched, cfg)
+	poison(&d.eng)
+	if res, err := d.place(f, nil, 0); err == nil {
+		t.Fatalf("place = %+v, want the engine error", res)
+	}
+	if got := sched.Txs(); len(got) != len(before) {
+		t.Fatalf("schedule holds %d transmissions after the fault, want %d", len(got), len(before))
+	}
+	for _, tx := range before {
+		if sched.Cell(tx.Slot, tx.Offset) == nil {
+			t.Fatalf("transmission %+v lost", tx)
+		}
+	}
+}
