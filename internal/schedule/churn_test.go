@@ -10,7 +10,7 @@ import (
 // delta schedulers' repair-ladder pattern), interior removals, same-shape
 // Resets, and cached PairCount queries. After every mutation pattern the
 // cached CountThrough/UnionCount answers must match the straight
-// BusyUnionCount scan — any divergence means a mutation path changed a busy
+// busyUnionCount scan — any divergence means a mutation path changed a busy
 // bitset without bumping its node's version stamp.
 func TestPairCountPropertyUnderRollback(t *testing.T) {
 	const slots, offs, nodes = 256, 4, 10
@@ -30,11 +30,11 @@ func TestPairCountPropertyUnderRollback(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		if got, want := p.UnionCount(a, b), s.BusyUnionCount(u, v, a, b); got != want {
+		if got, want := p.UnionCount(a, b), s.busyUnionCount(u, v, a, b); got != want {
 			t.Fatalf("%s: Pair(%d,%d).UnionCount(%d,%d) = %d, reference scan %d",
 				stage, u, v, a, b, got, want)
 		}
-		if got, want := p.CountThrough(b), s.BusyUnionCount(u, v, 0, b); got != want {
+		if got, want := p.CountThrough(b), s.busyUnionCount(u, v, 0, b); got != want {
 			t.Fatalf("%s: Pair(%d,%d).CountThrough(%d) = %d, reference scan %d",
 				stage, u, v, b, got, want)
 		}
@@ -120,7 +120,7 @@ func TestPairCountSurvivesResetCycle(t *testing.T) {
 	if err := s.Place(tx(1, 2, 3, 9, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := p.CountThrough(7), s.BusyUnionCount(2, 3, 0, 7); got != want {
+	if got, want := p.CountThrough(7), s.busyUnionCount(2, 3, 0, 7); got != want {
 		t.Fatalf("stale PairCount after reset cycle: CountThrough(7) = %d, reference %d", got, want)
 	}
 	if got := p.CountThrough(63); got != 1 {
@@ -169,9 +169,9 @@ func TestResetEquivalentToNew(t *testing.T) {
 		}
 		for u := 0; u < dims[2]; u++ {
 			for v := u + 1; v < dims[2]; v++ {
-				if got, want := s.BusyUnionCount(u, v, 0, dims[0]-1),
-					fresh.BusyUnionCount(u, v, 0, dims[0]-1); got != want {
-					t.Fatalf("reset dims %v: BusyUnionCount(%d,%d) = %d, fresh %d",
+				if got, want := s.busyUnionCount(u, v, 0, dims[0]-1),
+					fresh.busyUnionCount(u, v, 0, dims[0]-1); got != want {
+					t.Fatalf("reset dims %v: busyUnionCount(%d,%d) = %d, fresh %d",
 						dims, u, v, got, want)
 				}
 			}

@@ -15,9 +15,9 @@
 // the schedulers' rollbacks) bumps the version stamp of each endpoint node it
 // touches, so the lazy caches can never serve stale answers — and a pair
 // counter only rebuilds when a mutation actually involved one of its own two
-// nodes, not on every placement anywhere in the schedule. BusyUnionCount
-// remains the straight scan and doubles as the reference implementation the
-// property tests compare against.
+// nodes, not on every placement anywhere in the schedule. The property tests
+// compare the index against a straight word scan of the busy bitsets, which
+// lives in the tests only.
 
 package schedule
 
@@ -160,7 +160,7 @@ func (s *Schedule) OccupiedOffsets(slot int, buf []int) []int {
 // over the popcounts of the union of the two nodes' slot-busy bitsets. After
 // at most one O(maxQueriedSlot/64) rebuild per mutation epoch (see ensure) it
 // answers UnionCount — "how many slots in [a,b] conflict with link (u,v)?" —
-// in O(1), where the plain BusyUnionCount scan is O((b-a)/64) on every call.
+// in O(1), where a plain scan of the two bitsets is O((b-a)/64) on every call.
 // The laxity computation issues one UnionCount per remaining transmission per
 // candidate slot per ρ step, so the cache amortizes quickly.
 //
@@ -270,8 +270,8 @@ func (p *PairCount) CountThrough(x int) int {
 }
 
 // UnionCount returns the number of slots in the inclusive range [from, to]
-// in which either node of the pair is busy — BusyUnionCount served from the
-// prefix index. Out-of-range bounds are clamped; an empty range returns 0.
+// in which either node of the pair is busy, served from the prefix index.
+// Out-of-range bounds are clamped; an empty range returns 0.
 func (p *PairCount) UnionCount(from, to int) int {
 	s := p.s
 	if from < 0 {

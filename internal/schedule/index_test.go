@@ -65,7 +65,7 @@ func randomTx(rng *rand.Rand, numSlots, numOffsets, numNodes int, id int) Tx {
 // of Place, Remove, Diff/Apply replays, and bulk rollbacks, and after every
 // step checks each index structure against a from-scratch recount:
 //
-//   - Pair.UnionCount vs the BusyUnionCount word scan (and both vs nothing
+//   - Pair.UnionCount vs the busyUnionCount word scan (and both vs nothing
 //     stale: the pair handles are created once and live across mutations),
 //   - FirstFreeOffset / OccupiedOffsets vs the cells,
 //   - NextSharedFreeSlot vs the per-slot NodeBusy walk.
@@ -98,7 +98,7 @@ func TestIndexMatchesNaiveScan(t *testing.T) {
 			from := rng.Intn(numSlots)
 			to := from + rng.Intn(numSlots-from)
 			got := p.UnionCount(from, to)
-			want := s.BusyUnionCount(p.u, p.v, from, to)
+			want := s.busyUnionCount(p.u, p.v, from, to)
 			if got != want {
 				t.Fatalf("step %d: Pair(%d,%d).UnionCount(%d,%d) = %d, scan = %d",
 					step, p.u, p.v, from, to, got, want)
@@ -188,7 +188,7 @@ func TestPairCountBounds(t *testing.T) {
 	p := s.Pair(0, 1)
 	cases := [][2]int{{-5, 1000}, {0, 69}, {63, 64}, {64, 64}, {69, 69}, {10, 5}, {0, 0}, {63, 63}}
 	for _, c := range cases {
-		if got, want := p.UnionCount(c[0], c[1]), s.BusyUnionCount(0, 1, c[0], c[1]); got != want {
+		if got, want := p.UnionCount(c[0], c[1]), s.busyUnionCount(0, 1, c[0], c[1]); got != want {
 			t.Fatalf("UnionCount(%d,%d) = %d, scan = %d", c[0], c[1], got, want)
 		}
 	}

@@ -15,7 +15,6 @@ package schedule
 
 import (
 	"fmt"
-	"math/bits"
 
 	"wsan/internal/flow"
 	"wsan/internal/graph"
@@ -423,43 +422,6 @@ func (s *Schedule) Remove(tx Tx) error {
 func (s *Schedule) clearBusy(node, slot int) {
 	s.nodeBusy[node*s.words+slot/64] &^= 1 << uint(slot%64)
 	s.nodeVer[node]++
-}
-
-// BusyUnionCount returns the number of slots in the inclusive range
-// [from, to] in which node u or node v (or both) is busy — the q^t term of
-// the laxity equation for a link t = (u,v). Out-of-range bounds are clamped;
-// an empty range returns 0.
-//
-// This is the straight word-level scan, O((to-from)/64) per call; hot loops
-// that ask repeatedly about the same pair should hold a Pair handle, whose
-// UnionCount answers in O(1) from a prefix index. The scan stays as the
-// reference implementation the index is property-tested against.
-func (s *Schedule) BusyUnionCount(u, v, from, to int) int {
-	if from < 0 {
-		from = 0
-	}
-	if to >= s.numSlots {
-		to = s.numSlots - 1
-	}
-	if from > to || u < 0 || u >= s.numNodes || v < 0 || v >= s.numNodes {
-		return 0
-	}
-	bu := s.nodeBusy[u*s.words : (u+1)*s.words]
-	bv := s.nodeBusy[v*s.words : (v+1)*s.words]
-	wFrom, wTo := from/64, to/64
-	count := 0
-	for w := wFrom; w <= wTo; w++ {
-		word := bu[w] | bv[w]
-		if w == wFrom {
-			word &= ^uint64(0) << uint(from%64)
-		}
-		if w == wTo {
-			shift := uint(63 - to%64)
-			word &= ^uint64(0) >> shift
-		}
-		count += bits.OnesCount64(word)
-	}
-	return count
 }
 
 // OffsetLoad returns how many transmissions are already assigned to

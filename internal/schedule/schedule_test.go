@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"errors"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -117,6 +118,42 @@ func TestPlaceRejectsOutOfRange(t *testing.T) {
 	}
 }
 
+// busyUnionCount returns the number of slots in the inclusive range
+// [from, to] in which node u or node v (or both) is busy — the q^t term of
+// the laxity equation for a link t = (u,v). Out-of-range bounds are clamped;
+// an empty range returns 0.
+//
+// It is the straight word-level scan, O((to-from)/64) per call, and the
+// reference implementation Pair's prefix-indexed UnionCount is
+// property-tested against.
+func (s *Schedule) busyUnionCount(u, v, from, to int) int {
+	if from < 0 {
+		from = 0
+	}
+	if to >= s.numSlots {
+		to = s.numSlots - 1
+	}
+	if from > to || u < 0 || u >= s.numNodes || v < 0 || v >= s.numNodes {
+		return 0
+	}
+	bu := s.nodeBusy[u*s.words : (u+1)*s.words]
+	bv := s.nodeBusy[v*s.words : (v+1)*s.words]
+	wFrom, wTo := from/64, to/64
+	count := 0
+	for w := wFrom; w <= wTo; w++ {
+		word := bu[w] | bv[w]
+		if w == wFrom {
+			word &= ^uint64(0) << uint(from%64)
+		}
+		if w == wTo {
+			shift := uint(63 - to%64)
+			word &= ^uint64(0) >> shift
+		}
+		count += bits.OnesCount64(word)
+	}
+	return count
+}
+
 func TestBusyUnionCount(t *testing.T) {
 	s := mustNew(t, 200, 2, 8)
 	// Node 0 busy at slots 10, 20, 130; node 1 busy at slots 20, 64.
@@ -142,14 +179,14 @@ func TestBusyUnionCount(t *testing.T) {
 		{0, 1, -5, 500, 4},  // clamped
 	}
 	for _, tc := range tests {
-		if got := s.BusyUnionCount(tc.u, tc.v, tc.from, tc.to); got != tc.want {
-			t.Errorf("BusyUnionCount(%d,%d,%d,%d) = %d, want %d",
+		if got := s.busyUnionCount(tc.u, tc.v, tc.from, tc.to); got != tc.want {
+			t.Errorf("busyUnionCount(%d,%d,%d,%d) = %d, want %d",
 				tc.u, tc.v, tc.from, tc.to, got, tc.want)
 		}
 	}
 }
 
-// Property: BusyUnionCount matches a naive per-slot scan.
+// Property: busyUnionCount matches a naive per-slot scan.
 func TestBusyUnionCountMatchesNaive(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -175,7 +212,7 @@ func TestBusyUnionCountMatchesNaive(t *testing.T) {
 				naive++
 			}
 		}
-		return s.BusyUnionCount(u, v, from, to) == naive
+		return s.busyUnionCount(u, v, from, to) == naive
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -389,7 +426,7 @@ func BenchmarkBusyUnionCount(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = s.BusyUnionCount(i%80, (i+7)%80, 100, 700)
+		_ = s.busyUnionCount(i%80, (i+7)%80, 100, 700)
 	}
 }
 

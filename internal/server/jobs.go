@@ -55,6 +55,12 @@ type scheduleParams struct {
 	TargetPDR float64 `json:"targetPDR,omitempty"`
 }
 
+// MaxJobHyperperiods bounds the slotframe executions one job may ask for:
+// simulate hyperperiods, and converge chunkHyperperiods × maxChunks. The
+// in-repo callers ask for at most 1000 (the converge default, 20 × 50);
+// at the cap a simulate of the small test network runs about a minute.
+const MaxJobHyperperiods = 1 << 20
+
 // simulateParams is the canonical KindSimulate parameter document.
 // Artifact references the schedule bundle to execute.
 type simulateParams struct {
@@ -206,8 +212,8 @@ func (s *Server) canonicalParams(nw *netEntry, kind string, raw json.RawMessage)
 		if p.Hyperperiods == 0 {
 			p.Hyperperiods = 100
 		}
-		if p.Hyperperiods < 1 {
-			return nil, fmt.Errorf("hyperperiods must be positive")
+		if p.Hyperperiods < 1 || p.Hyperperiods > MaxJobHyperperiods {
+			return nil, fmt.Errorf("hyperperiods must be in [1, %d]", MaxJobHyperperiods)
 		}
 		if p.Seed == 0 {
 			p.Seed = 1
@@ -232,6 +238,10 @@ func (s *Server) canonicalParams(nw *netEntry, kind string, raw json.RawMessage)
 		}
 		if p.MaxChunks == 0 {
 			p.MaxChunks = 50
+		}
+		if p.ChunkHyperperiods < 1 || p.MaxChunks < 1 ||
+			p.ChunkHyperperiods > MaxJobHyperperiods/p.MaxChunks {
+			return nil, fmt.Errorf("chunkHyperperiods and maxChunks must be positive with a product of at most %d", MaxJobHyperperiods)
 		}
 		if p.HalfWidth == 0 {
 			p.HalfWidth = 0.01
@@ -514,14 +524,22 @@ func (s *Server) runSchedule(ctx context.Context, nw *netEntry, raw json.RawMess
 }
 
 // loadBundle decodes the testbed, workload, and schedule of a schedule
-// bundle artifact into fresh instances — each job works on its own copies,
-// so concurrent jobs over one artifact never share mutable state.
-func (s *Server) loadBundle(id string) (*wsan.Testbed, []*wsan.Flow, *wsan.ScheduleResult, error) {
+// bundle artifact. Workload and schedule are fresh instances, because jobs
+// mutate them. The testbed is only read, so when the artifact's survey is
+// byte-equal to the network's it is the entry's shared decode; any other
+// survey is decoded fresh. Either way it equals LoadTestbed of the part.
+func (s *Server) loadBundle(nw *netEntry, id string) (*wsan.Testbed, []*wsan.Flow, *wsan.ScheduleResult, error) {
 	a, ok := s.store.Get(id)
 	if !ok {
 		return nil, nil, nil, fmt.Errorf("artifact %q not found", id)
 	}
-	tb, err := wsan.LoadTestbed(bytes.NewReader(a.Part("survey.json")))
+	var tb *wsan.Testbed
+	var err error
+	if survey := a.Part("survey.json"); bytes.Equal(survey, nw.Survey) {
+		tb, err = nw.testbed()
+	} else {
+		tb, err = wsan.LoadTestbed(bytes.NewReader(survey))
+	}
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("artifact %q: %w", id, err)
 	}
@@ -592,7 +610,7 @@ func (s *Server) runSimulate(ctx context.Context, nw *netEntry, j *Job) (map[str
 	if err := json.Unmarshal(j.Params, &p); err != nil {
 		return nil, err
 	}
-	tb, flows, sched, err := s.loadBundle(p.Artifact)
+	tb, flows, sched, err := s.loadBundle(nw, p.Artifact)
 	if err != nil {
 		return nil, err
 	}
@@ -629,7 +647,7 @@ func (s *Server) runConverge(ctx context.Context, nw *netEntry, raw json.RawMess
 	if err := json.Unmarshal(raw, &p); err != nil {
 		return nil, err
 	}
-	tb, flows, sched, err := s.loadBundle(p.Artifact)
+	tb, flows, sched, err := s.loadBundle(nw, p.Artifact)
 	if err != nil {
 		return nil, err
 	}
@@ -673,7 +691,7 @@ func (s *Server) runManage(ctx context.Context, nw *netEntry, j *Job) (map[strin
 	if err := json.Unmarshal(j.Params, &p); err != nil {
 		return nil, err
 	}
-	tb, flows, sched, err := s.loadBundle(p.Artifact)
+	tb, flows, sched, err := s.loadBundle(nw, p.Artifact)
 	if err != nil {
 		return nil, err
 	}
@@ -771,7 +789,7 @@ func (s *Server) runReschedule(ctx context.Context, nw *netEntry, raw json.RawMe
 	if err != nil {
 		return nil, err
 	}
-	_, flows, sched, err := s.loadBundle(p.Artifact)
+	_, flows, sched, err := s.loadBundle(nw, p.Artifact)
 	if err != nil {
 		return nil, err
 	}

@@ -43,6 +43,25 @@ type netEntry struct {
 	Channels []int
 	// Created is the registration time.
 	Created time.Time
+
+	// surveyOnce guards the lazy decode of Survey into surveyTB, the
+	// read-only testbed the bundle jobs share (see testbed).
+	surveyOnce sync.Once
+	surveyTB   *wsan.Testbed
+	surveyErr  error
+}
+
+// testbed returns Survey decoded, once per entry, for every bundle job whose
+// artifact embeds these exact survey bytes. The jobs only read a testbed,
+// so one instance serves them all concurrently. It is not Net.Testbed(): a
+// generated testbed keeps links that Encode drops (zero PRR on every
+// channel) whose gains still interfere in the simulator, so only a decode
+// of the bytes gives what a fresh LoadTestbed of the artifact gives.
+func (e *netEntry) testbed() (*wsan.Testbed, error) {
+	e.surveyOnce.Do(func() {
+		e.surveyTB, e.surveyErr = wsan.LoadTestbed(bytes.NewReader(e.Survey))
+	})
+	return e.surveyTB, e.surveyErr
 }
 
 // CreateNetworkRequest is the POST /networks body. Exactly one of Preset

@@ -254,7 +254,7 @@ func TestQueueFullRetryAfter(t *testing.T) {
 	}
 
 	long := func(seed int) map[string]any {
-		return map[string]any{"artifact": art, "hyperperiods": 2_000_000, "seed": seed}
+		return map[string]any{"artifact": art, "hyperperiods": MaxJobHyperperiods, "seed": seed}
 	}
 	// Occupy the single worker, then fill the two queue slots.
 	v1, code := submit(t, ts, "plant", KindSimulate, long(11))

@@ -300,10 +300,10 @@ func TestCancelRunningJob(t *testing.T) {
 	createTestNetwork(t, ts, "plant")
 	art := mustSchedule(t, ts, "plant")
 
-	// A simulation this long would take minutes; cancellation must cut it
-	// to well under the polling deadline.
+	// A simulation this long would take a minute or more; cancellation must
+	// cut it to well under the polling deadline.
 	v, code := submit(t, ts, "plant", KindSimulate, map[string]any{
-		"artifact": art, "hyperperiods": 2_000_000, "seed": 5,
+		"artifact": art, "hyperperiods": MaxJobHyperperiods, "seed": 5,
 	})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
@@ -335,7 +335,7 @@ func TestBackpressure(t *testing.T) {
 	art := mustSchedule(t, ts, "plant")
 
 	long := func(seed int) map[string]any {
-		return map[string]any{"artifact": art, "hyperperiods": 2_000_000, "seed": seed}
+		return map[string]any{"artifact": art, "hyperperiods": MaxJobHyperperiods, "seed": seed}
 	}
 	// First long job occupies the single worker...
 	v1, code := submit(t, ts, "plant", KindSimulate, long(11))
@@ -500,11 +500,27 @@ func TestCreateNetworkNodeLimit(t *testing.T) {
 	}
 }
 
-// TestJobParamLimits: schedule and soak jobs outside the workload limits are
-// refused with 400 before they are queued, and the daemon keeps serving.
+// TestJobParamLimits: schedule, soak, simulate and converge jobs outside the
+// workload limits are refused with 400 before they are queued, jobs at the
+// largest accepted value are queued, and the daemon keeps serving.
 func TestJobParamLimits(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 2})
+	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4})
 	createTestNetwork(t, ts, "plant")
+	art := mustSchedule(t, ts, "plant")
+	for _, tc := range []struct {
+		kind   string
+		params map[string]any
+	}{
+		{KindSimulate, map[string]any{"artifact": art, "hyperperiods": MaxJobHyperperiods}},
+		{KindConverge, map[string]any{"artifact": art, "chunkHyperperiods": 1 << 10, "maxChunks": MaxJobHyperperiods >> 10}},
+	} {
+		v, code := submit(t, ts, "plant", tc.kind, tc.params)
+		if code != http.StatusAccepted {
+			t.Errorf("%s %v: status %d, want 202", tc.kind, tc.params, code)
+			continue
+		}
+		doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+v.ID, nil, nil)
+	}
 	for _, tc := range []struct {
 		kind   string
 		params map[string]any
@@ -515,6 +531,10 @@ func TestJobParamLimits(t *testing.T) {
 		{KindSchedule, map[string]any{"flows": wsan.MaxWorkloadFlows + 1}},
 		{KindSoak, map[string]any{"flows": wsan.MaxWorkloadFlows/2 + 1}},
 		{KindSoak, map[string]any{"flows": 1 << 62}},
+		{KindSimulate, map[string]any{"artifact": art, "hyperperiods": MaxJobHyperperiods + 1}},
+		{KindConverge, map[string]any{"artifact": art, "chunkHyperperiods": MaxJobHyperperiods + 1, "maxChunks": 1}},
+		{KindConverge, map[string]any{"artifact": art, "chunkHyperperiods": 1 << 62, "maxChunks": 4}},
+		{KindConverge, map[string]any{"artifact": art, "chunkHyperperiods": -1, "maxChunks": -1}},
 	} {
 		var env errorBody
 		code := doJSON(t, http.MethodPost, ts.URL+"/v1/networks/plant/jobs",
@@ -571,7 +591,7 @@ func TestGracefulShutdown(t *testing.T) {
 	createTestNetwork(t, ts, "plant")
 	art := mustSchedule(t, ts, "plant")
 	v, code := submit(t, ts, "plant", KindSimulate, map[string]any{
-		"artifact": art, "hyperperiods": 2_000_000, "seed": 9,
+		"artifact": art, "hyperperiods": MaxJobHyperperiods, "seed": 9,
 	})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)

@@ -142,12 +142,28 @@ func asAPIError(err error, target **APIError) bool { return errors.As(err, targe
 // out (nil skips decoding). body, when non-nil, is marshalled as JSON and
 // re-sent identically on every retry.
 func (c *Client) do(ctx context.Context, method, u string, body, out any) error {
+	data, err := c.send(ctx, method, u, body)
+	if err != nil {
+		return err
+	}
+	if out != nil && len(data) > 0 {
+		if err := json.Unmarshal(data, out); err != nil {
+			return fmt.Errorf("wsanclient: decoding %s %s response: %w", method, u, err)
+		}
+	}
+	return nil
+}
+
+// send issues one request with retries and returns the body of the 2xx
+// response. A status ≥ 400 that is not retried, or is still returned after
+// the last retry, comes back as its *APIError.
+func (c *Client) send(ctx context.Context, method, u string, body any) ([]byte, error) {
 	var payload []byte
 	if body != nil {
 		var err error
 		payload, err = json.Marshal(body)
 		if err != nil {
-			return fmt.Errorf("wsanclient: encoding request: %w", err)
+			return nil, fmt.Errorf("wsanclient: encoding request: %w", err)
 		}
 	}
 	var lastErr error
@@ -158,7 +174,7 @@ func (c *Client) do(ctx context.Context, method, u string, body, out any) error 
 		}
 		req, err := http.NewRequestWithContext(ctx, method, u, rd)
 		if err != nil {
-			return fmt.Errorf("wsanclient: %w", err)
+			return nil, fmt.Errorf("wsanclient: %w", err)
 		}
 		if payload != nil {
 			req.Header.Set("Content-Type", "application/json")
@@ -167,10 +183,10 @@ func (c *Client) do(ctx context.Context, method, u string, body, out any) error 
 		if err != nil {
 			lastErr = fmt.Errorf("wsanclient: %s %s: %w", method, u, err)
 			if ctx.Err() != nil || retry >= c.retries {
-				return lastErr
+				return nil, lastErr
 			}
 			if err := sleepCtx(ctx, c.retryDelay(retry, nil)); err != nil {
-				return lastErr
+				return nil, lastErr
 			}
 			continue
 		}
@@ -179,30 +195,25 @@ func (c *Client) do(ctx context.Context, method, u string, body, out any) error 
 		if readErr != nil {
 			lastErr = fmt.Errorf("wsanclient: reading %s %s: %w", method, u, readErr)
 			if ctx.Err() != nil || retry >= c.retries {
-				return lastErr
+				return nil, lastErr
 			}
 			if err := sleepCtx(ctx, c.retryDelay(retry, nil)); err != nil {
-				return lastErr
+				return nil, lastErr
 			}
 			continue
 		}
 		if resp.StatusCode >= 400 {
 			apiErr := decodeAPIError(resp.StatusCode, data)
 			if !retryableStatus(resp.StatusCode) || retry >= c.retries {
-				return apiErr
+				return nil, apiErr
 			}
 			lastErr = apiErr
 			if err := sleepCtx(ctx, c.retryDelay(retry, resp)); err != nil {
-				return lastErr
+				return nil, lastErr
 			}
 			continue
 		}
-		if out != nil && len(data) > 0 {
-			if err := json.Unmarshal(data, out); err != nil {
-				return fmt.Errorf("wsanclient: decoding %s %s response: %w", method, u, err)
-			}
-		}
-		return nil
+		return data, nil
 	}
 }
 
@@ -369,12 +380,21 @@ func (c *Client) Artifact(ctx context.Context, id string) (Artifact, error) {
 	return a, err
 }
 
-// ArtifactPart fetches one part's exact bytes — byte-identical to the file
-// the wsansim CLI would have written.
+// ArtifactPart fetches one part: the stored JSON document with the
+// whitespace around it trimmed. That is the file the wsansim CLI writes
+// without the encoder's final newline; the bytes between are exact. A body
+// that is not a JSON object or array is an error.
 func (c *Client) ArtifactPart(ctx context.Context, id, part string) ([]byte, error) {
-	var raw json.RawMessage
-	err := c.do(ctx, http.MethodGet, c.url("artifacts", id, part), nil, &raw)
-	return raw, err
+	u := c.url("artifacts", id, part)
+	data, err := c.send(ctx, http.MethodGet, u, nil)
+	if err != nil {
+		return nil, err
+	}
+	data = bytes.Trim(data, " \t\r\n")
+	if n := len(data); n < 2 || !(data[0] == '{' && data[n-1] == '}' || data[0] == '[' && data[n-1] == ']') {
+		return nil, fmt.Errorf("wsanclient: decoding %s %s response: not a JSON object or array", http.MethodGet, u)
+	}
+	return data, nil
 }
 
 // Healthz fetches the daemon liveness document. The error is non-nil when
